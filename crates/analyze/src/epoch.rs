@@ -33,14 +33,10 @@
 //! column rows, head-sample cutoffs) written at epoch 0 stays valid in
 //! every later epoch, and side tables only ever grow append-only.
 
-use crate::{
-    shards_of, Observed, Population, RecordSource, ScanResult, Shard, ShardedScan,
-};
+use crate::{shards_of, Observed, Population, RecordSource, ScanResult, Shard, ShardedScan};
 use idnre_datagen::epoch::EpochCorpus;
 use idnre_datagen::DomainRegistration;
-use idnre_telemetry::{
-    Recorder, SpanCtx, EPOCH_RESIDENT_PARTIALS, EPOCH_SHARD_COUNTERS,
-};
+use idnre_telemetry::{Recorder, SpanCtx, EPOCH_RESIDENT_PARTIALS, EPOCH_SHARD_COUNTERS};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -319,7 +315,10 @@ impl EpochState {
         // binary-searched shard ownership tests.
         let mut touched: HashMap<Population, Vec<u64>> = HashMap::new();
         for delta in deltas.iter() {
-            touched.entry(delta.population).or_default().push(delta.index);
+            touched
+                .entry(delta.population)
+                .or_default()
+                .push(delta.index);
         }
         for indices in touched.values_mut() {
             indices.sort_unstable();
@@ -416,8 +415,7 @@ impl EpochState {
                 .cache
                 .get(&key_of(shard))
                 .expect("every grid shard is cached after refold");
-            for (pass_index, (pass, slot)) in
-                scan.passes.iter().zip(merged.iter_mut()).enumerate()
+            for (pass_index, (pass, slot)) in scan.passes.iter().zip(merged.iter_mut()).enumerate()
             {
                 let started = timing.then(Instant::now);
                 let earlier = std::mem::replace(slot, pass.empty_box());
@@ -569,26 +567,14 @@ mod tests {
         let mut state = EpochState::new(64);
 
         let (scan0, counts0, domains0) = scan();
-        let (mut first, stats0) = state.advance(
-            scan0,
-            &source,
-            2,
-            &quiet,
-            &NoopRecorder,
-            SpanCtx::NONE,
-        );
+        let (mut first, stats0) =
+            state.advance(scan0, &source, 2, &quiet, &NoopRecorder, SpanCtx::NONE);
         assert_eq!(stats0.refolded, stats0.total_shards, "cold cache folds all");
         assert_eq!(stats0.clean, 0);
 
         let (scan1, counts1, domains1) = scan();
-        let (mut second, stats1) = state.advance(
-            scan1,
-            &source,
-            2,
-            &quiet,
-            &NoopRecorder,
-            SpanCtx::NONE,
-        );
+        let (mut second, stats1) =
+            state.advance(scan1, &source, 2, &quiet, &NoopRecorder, SpanCtx::NONE);
         assert_eq!(stats1.refolded, 0, "quiet epoch re-folds nothing");
         assert_eq!(stats1.refolded_records, 0);
         assert_eq!(stats1.clean, stats1.total_shards);
@@ -645,7 +631,14 @@ mod tests {
         let source = EpochSource::new(&overlay);
         let mut state = EpochState::new(64);
         let (scan0, _, _) = scan();
-        state.advance(scan0, &source, 1, &DeltaStream::new(), &NoopRecorder, SpanCtx::NONE);
+        state.advance(
+            scan0,
+            &source,
+            1,
+            &DeltaStream::new(),
+            &NoopRecorder,
+            SpanCtx::NONE,
+        );
 
         let ghost = DeltaStream::from(vec![RecordDelta {
             population: Population::Idn,

@@ -27,7 +27,7 @@ use idnre_arena::CorpusColumns;
 use idnre_blacklist::Source;
 use idnre_core::{HomographDetector, SemanticDetector, SkeletonCache};
 use idnre_datagen::{
-    DaySimulator, EcosystemConfig, Ecosystem, EpochCorpus, EpochDelta, EpochDeltaKind,
+    DaySimulator, Ecosystem, EcosystemConfig, EpochCorpus, EpochDelta, EpochDeltaKind,
 };
 use idnre_langid::{Classifier, Language};
 use idnre_telemetry::{NoopRecorder, Recorder, SpanCtx};
@@ -294,8 +294,14 @@ pub fn run_epochs(
             &skeletons,
         );
         let started = Instant::now();
-        let (homographs, semantic, outputs, stats) =
-            plan.run_epoch(&mut state, &source, threads, &deltas, &*recorder, SpanCtx::ROOT);
+        let (homographs, semantic, outputs, stats) = plan.run_epoch(
+            &mut state,
+            &source,
+            threads,
+            &deltas,
+            &*recorder,
+            SpanCtx::ROOT,
+        );
         let incremental_ns = started.elapsed().as_nanos() as u64;
         ctx.homographs = homographs;
         ctx.semantic = semantic;

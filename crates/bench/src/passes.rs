@@ -823,7 +823,8 @@ impl<'p> ScanPlan<'p> {
             self.bucket.is_none(),
             "mining pass A is one-shot; epochs exclude --mine-portfolios"
         );
-        let (mut result, stats) = state.advance(self.scan, source, threads, deltas, recorder, parent);
+        let (mut result, stats) =
+            state.advance(self.scan, source, threads, deltas, recorder, parent);
         let outputs = ScanOutputs {
             tld: result.take(&self.tld),
             language: result.take(&self.language),

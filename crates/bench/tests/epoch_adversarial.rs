@@ -20,7 +20,7 @@ use idnre_core::{
     HomographDetector, HomographFinding, SemanticDetector, SemanticFinding, SkeletonCache,
 };
 use idnre_datagen::{
-    DaySimulator, DomainRegistration, EcosystemConfig, Ecosystem, EpochCorpus, EpochDeltaKind,
+    DaySimulator, DomainRegistration, Ecosystem, EcosystemConfig, EpochCorpus, EpochDeltaKind,
     KeyedCorpus,
 };
 use idnre_telemetry::{
@@ -98,13 +98,9 @@ impl<'e> Engine<'e> {
         columns: &CorpusColumns,
         cache: &SkeletonCache,
     ) -> Fold {
-        let (homographs, semantic, outputs, _bucket) = self.plan(columns, cache).run_at(
-            source,
-            SHARD,
-            THREADS,
-            &NoopRecorder,
-            SpanCtx::NONE,
-        );
+        let (homographs, semantic, outputs, _bucket) =
+            self.plan(columns, cache)
+                .run_at(source, SHARD, THREADS, &NoopRecorder, SpanCtx::NONE);
         (homographs, semantic, outputs)
     }
 }

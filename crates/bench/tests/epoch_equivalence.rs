@@ -57,7 +57,13 @@ fn epoch_reports_are_identical_across_threads_and_shard_sizes() {
 fn small_shards_refold_a_strict_subset_per_epoch() {
     // At shard 64 the cohort-clustered day deltas touch a thin slice of
     // the grid; the whole point of resident partials is refolded < total.
-    let run = run_epochs(&config(2), 64, EPOCHS, CHURN_PER_MILLE, Arc::new(NoopRecorder));
+    let run = run_epochs(
+        &config(2),
+        64,
+        EPOCHS,
+        CHURN_PER_MILLE,
+        Arc::new(NoopRecorder),
+    );
     for (i, epoch) in run.epochs.iter().enumerate() {
         assert!(
             epoch.stats.refolded < epoch.stats.total_shards,
@@ -86,7 +92,13 @@ fn coarse_shards_still_prove_equivalence() {
     // every epoch re-folds everything — no reuse, but the equivalence
     // contract (asserted inside run_epochs) must still hold, and the
     // accounting must say so honestly.
-    let run = run_epochs(&config(2), 1024, EPOCHS, CHURN_PER_MILLE, Arc::new(NoopRecorder));
+    let run = run_epochs(
+        &config(2),
+        1024,
+        EPOCHS,
+        CHURN_PER_MILLE,
+        Arc::new(NoopRecorder),
+    );
     for epoch in &run.epochs {
         assert!(epoch.stats.refolded >= 1);
         assert_eq!(

@@ -16,74 +16,29 @@ use idnre_arena::CorpusColumns;
 use idnre_telemetry::Recorder;
 use idnre_unicode::skeleton;
 
-/// SSIM homograph detection as a streaming pass (IDN population only).
+/// SSIM homograph detection as a streaming pass (IDN population only), fed
+/// from interned [`CorpusColumns`] instead of re-resolving label strings
+/// per record.
 ///
-/// Observation probes [`HomographDetector::detect_recorded`] per record;
-/// `finish` sorts findings by domain, matching the batch scan's output
-/// contract.
-#[derive(Debug, Clone, Copy)]
-pub struct HomographPass<'d> {
-    detector: &'d HomographDetector,
-}
-
-impl<'d> HomographPass<'d> {
-    /// Wraps a configured detector.
-    pub fn new(detector: &'d HomographDetector) -> Self {
-        HomographPass { detector }
-    }
-}
-
-impl AnalysisPass for HomographPass<'_> {
-    type Partial = Vec<HomographFinding>;
-    type Output = Vec<HomographFinding>;
-
-    fn name(&self) -> &'static str {
-        "analyze.pass.homograph"
-    }
-
-    fn counters(&self) -> &'static [&'static str] {
-        &HOMOGRAPH_COUNTERS
-    }
-
-    fn empty(&self) -> Self::Partial {
-        Vec::new()
-    }
-
-    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, recorder: &dyn Recorder) {
-        if rec.population != Population::Idn {
-            return;
-        }
-        if let Some(finding) = self.detector.detect_recorded(&rec.reg.domain, recorder) {
-            partial.push(finding);
-        }
-    }
-
-    fn finish(&self, mut partial: Self::Partial) -> Self::Output {
-        partial.sort_by(|a, b| a.domain.cmp(&b.domain));
-        partial
-    }
-}
-
-/// SSIM homograph detection fed from interned [`CorpusColumns`] instead of
-/// re-resolving label strings per record.
-///
-/// The per-record path ([`HomographPass`]) runs `to_unicode` + a full
-/// [`skeleton`] fold for every record. The corpus interns each distinct
-/// label once, so this pass hoists both out of the hot loop: one skeleton
-/// per *distinct* label (parallelized in the constructor), one decoded
-/// suffix skeleton per TLD, and per record only a scratch-buffer key
-/// assembly plus the index probe. Because [`skeleton`] maps characters
-/// independently (ASCII passes through untouched), `skeleton(unicode)` ==
-/// `skeleton(sld) + skeleton(".tld")` — the assembled key matches the
-/// per-record fold byte for byte, so findings *and* counters are identical
-/// to [`HomographPass`] (the equivalence tests below pin both).
+/// The per-record probe ([`HomographDetector::detect_recorded`]) runs
+/// `to_unicode` + a full [`skeleton`] fold for every record. The corpus
+/// interns each distinct label once, so this pass hoists both out of the
+/// hot loop: one skeleton per *distinct* label (parallelized in the
+/// constructor), one decoded suffix skeleton per TLD, and per record only a
+/// scratch-buffer key assembly plus the index probe. Because [`skeleton`]
+/// maps characters independently (ASCII passes through untouched),
+/// `skeleton(unicode)` == `skeleton(sld) + skeleton(".tld")` — the
+/// assembled key matches the per-record fold byte for byte, so findings
+/// *and* counters are identical to [`HomographDetector::scan_recorded`]
+/// (the equivalence tests below pin both). `finish` sorts findings by
+/// domain, matching the batch scan's output contract.
 ///
 /// Counters are tallied in the partial and flushed once per shard in
 /// `shard_end` (the batched-flush contract from
 /// [`AnalysisPass::shard_end`]). `homograph.skip.invalid_idna` is
 /// structurally zero here: column rows come from display forms the corpus
 /// builder already decoded, so there is nothing left to fail — the counter
-/// equivalence test below holds this path to the per-record one anyway.
+/// equivalence test below holds this path to the batch scan anyway.
 pub struct ColumnedHomographPass<'d> {
     detector: &'d HomographDetector,
     columns: &'d CorpusColumns,
@@ -111,7 +66,11 @@ pub struct SkeletonCache {
     tlds: Vec<String>,
 }
 
-fn label_skeletons_from(columns: &CorpusColumns, from: usize, threads: usize) -> Vec<Option<String>> {
+fn label_skeletons_from(
+    columns: &CorpusColumns,
+    from: usize,
+    threads: usize,
+) -> Vec<Option<String>> {
     let labels: Vec<&str> = columns.labels().iter().skip(from).collect();
     idnre_par::par_map(&labels, threads, |label| {
         if label.is_ascii() {
@@ -430,9 +389,10 @@ mod tests {
         assert!(!legacy_homographs.is_empty());
         assert!(!legacy_sem1.is_empty());
 
+        let columns = columns_of(&eco);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let h = scan.register(HomographPass::new(&homograph));
+        let h = scan.register(ColumnedHomographPass::new(&homograph, &columns, 4));
         let s1 = scan.register(Semantic1Pass::new(&semantic));
         let s2 = scan.register(Semantic2Pass::new(&semantic));
         let registry = Registry::new();
@@ -459,9 +419,10 @@ mod tests {
         let _ = semantic.scan_type1_parallel(idn_domains.iter().copied(), 4, &legacy);
         let legacy_counters = legacy.snapshot().counters;
 
+        let columns = columns_of(&eco);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let _ = scan.register(HomographPass::new(&homograph));
+        let _ = scan.register(ColumnedHomographPass::new(&homograph, &columns, 4));
         let _ = scan.register(Semantic1Pass::new(&semantic));
         let streamed = Registry::new();
         let _ = scan.run(&source, 128, 2, &streamed);
@@ -492,15 +453,16 @@ mod tests {
         let homograph = HomographDetector::new(&brands, 0.95);
         let columns = columns_of(&eco);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+        let idn_domains: Vec<&str> = eco
+            .idn_registrations
+            .iter()
+            .map(|r| r.domain.as_str())
+            .collect();
 
-        let per_record_registry = Registry::new();
-        let per_record = {
-            let mut scan = ShardedScan::new();
-            let h = scan.register(HomographPass::new(&homograph));
-            let mut result = scan.run(&source, 64, 4, &per_record_registry);
-            result.take(&h)
-        };
-        assert!(!per_record.is_empty());
+        // The per-record reference: the detector's own batch scan.
+        let legacy_registry = Registry::new();
+        let legacy = homograph.scan_recorded(idn_domains.iter().copied(), 4, &legacy_registry);
+        assert!(!legacy.is_empty());
 
         let columned_registry = Registry::new();
         let columned = {
@@ -510,10 +472,10 @@ mod tests {
             result.take(&h)
         };
 
-        assert_eq!(columned, per_record);
+        assert_eq!(columned, legacy);
         assert_eq!(
             columned_registry.snapshot().counters,
-            per_record_registry.snapshot().counters
+            legacy_registry.snapshot().counters
         );
     }
 
@@ -566,7 +528,9 @@ mod tests {
         };
         let cached = {
             let mut scan = ShardedScan::new();
-            let h = scan.register(ColumnedHomographPass::with_cache(&homograph, &columns, &cache));
+            let h = scan.register(ColumnedHomographPass::with_cache(
+                &homograph, &columns, &cache,
+            ));
             let mut result = scan.run(&source, 64, 4, &idnre_telemetry::NoopRecorder);
             result.take(&h)
         };
@@ -588,9 +552,10 @@ mod tests {
         let (eco, brands) = corpus();
         let homograph = HomographDetector::new(&brands, 0.95);
         let semantic = SemanticDetector::new(&brands);
+        let columns = columns_of(&eco);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let _ = scan.register(HomographPass::new(&homograph));
+        let _ = scan.register(ColumnedHomographPass::new(&homograph, &columns, 4));
         let _ = scan.register(Semantic1Pass::new(&semantic));
         let _ = scan.register(Semantic2Pass::new(&semantic));
         assert_eq!(

@@ -1,20 +1,18 @@
-//! Ecosystem assembly: generates registrations, WHOIS coverage,
-//! passive-DNS aggregates, certificates, blacklist feeds, zone files and
-//! the injected attack populations.
+//! The materialized ecosystem and the per-record builders.
 //!
-//! # Keyed generation
+//! [`Ecosystem`] holds every generated artifact: registrations, WHOIS
+//! coverage, passive-DNS aggregates, certificates, blacklist feeds, zone
+//! files and the injected attack populations. Its one generator is the
+//! keyed planner in [`crate::stream`], which also drives the streamed build.
 //!
 //! Every record's randomness is a pure function of
 //! `(config.seed, stage, record index)` via the counter-based streams of
-//! [`idnre_rng`]: no stage shares a sequential RNG with any other, so
-//! every RNG-bearing stage fans out on the work-queue executor and the
-//! output is byte-identical for every thread count (the
-//! `idnre-dataset/2` schedule-independence contract, DESIGN.md §8).
-//! Stages with cross-record state — deduplication, blacklist feeds, the
-//! pDNS store — split into a parallel *plan* phase (all randomness, keyed
-//! per record) and a cheap sequential *apply* phase (pure data movement).
+//! [`idnre_rng`], so every RNG-bearing stage fans out on the work-queue
+//! executor and the output is byte-identical for every thread count (the
+//! `idnre-dataset/2` schedule-independence contract, DESIGN.md §8). This
+//! module holds the per-record builders those streams feed.
 
-use crate::attacks::{self, AttackDomain};
+use crate::attacks::AttackDomain;
 use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
 use crate::content::ContentCategory;
@@ -22,16 +20,16 @@ use crate::hosting::HostingProfile;
 use crate::labels;
 use crate::registration::{
     sample_creation_date, sample_malicious_creation_date, sample_registrant, sample_registrar,
-    themed_label, BulkTheme, DomainRegistration, MaliciousKind, BULK_REGISTRANTS,
+    DomainRegistration, MaliciousKind,
 };
-use idnre_arena::Interner;
-use idnre_blacklist::{BlacklistSet, Source};
+use crate::stream;
+use idnre_blacklist::BlacklistSet;
 use idnre_certs::Certificate;
 use idnre_langid::Language;
 use idnre_pdns::{DomainAggregate, PdnsStore, PopulationClass, TrafficModel};
-use idnre_rng::{Key, KeyedRng, StageId};
+use idnre_rng::{Key, StageId};
 use idnre_telemetry::{NoopRecorder, Recorder, SpanCtx};
-use idnre_whois::{Date, WhoisDialect, WhoisRecord};
+use idnre_whois::{WhoisDialect, WhoisRecord};
 use idnre_zonefile::{RData, ResourceRecord, Zone};
 use rand::Rng;
 
@@ -39,7 +37,7 @@ use rand::Rng;
 pub(crate) const ORDINARY_ATTEMPTS: u64 = 4;
 
 /// Attack-injection channels in injection order: the blacklisted share per
-/// mille for each attack class, shared by the batch and streaming builders.
+/// mille for each attack class.
 /// Homograph: paper 100/1516 ≈ 6.6%; Type-1 semantic: a few of 1,497
 /// observed malicious; Type-2: the Gree case was an active fraud.
 pub(crate) const ATTACK_CHANNELS: [(MaliciousKind, u32); 3] = [
@@ -91,316 +89,17 @@ impl Ecosystem {
         Self::generate_traced(config, recorder, SpanCtx::NONE)
     }
 
-    /// Like [`Ecosystem::generate_recorded`], parenting the nine
-    /// `datagen.*` stage spans under `parent` in the span tree (stage
-    /// position as the sibling index).
+    /// Like [`Ecosystem::generate_recorded`], parenting the `datagen.*`
+    /// stage spans under `parent` in the span tree. Three steps: the keyed
+    /// plan, one regeneration of each population into its final vector,
+    /// and the artifact walk over slices of those vectors — the walk the
+    /// streamed build runs over regenerated shards.
     pub fn generate_traced(
         config: &EcosystemConfig,
         recorder: &dyn Recorder,
         parent: SpanCtx,
     ) -> Self {
-        let root = Key::root(config.seed);
-        let threads = config.threads;
-        let brands = BrandList::with_size(config.brand_count);
-        let snapshot_day = config.snapshot.day_number();
-
-        // --- 1. Bulk (opportunistic) registrations: Table III clusters,
-        //        each with a single portfolio theme. ---
-        let mut span = recorder.span_at("datagen.bulk_registrations", parent, 0);
-        let bulk_key = root.stage(StageId::BulkRegistrations);
-        let mut bulk_jobs: Vec<(u64, &str, BulkTheme, u64)> = Vec::new();
-        for (registrant, &(email, declared, theme)) in BULK_REGISTRANTS.iter().enumerate() {
-            let n = (u64::from(declared) / config.scale).max(1);
-            for i in 0..n {
-                bulk_jobs.push((registrant as u64, email, theme, i));
-            }
-        }
-        let mut idn_registrations: Vec<DomainRegistration> =
-            idnre_par::par_map(&bulk_jobs, threads, |&(registrant, email, theme, i)| {
-                let mut rng = bulk_key.derive(registrant).record(i).rng();
-                let label = themed_label(&mut rng, theme);
-                build_idn(
-                    &mut rng,
-                    config,
-                    &format!("{label}{i}"),
-                    Language::Chinese,
-                    "com",
-                    Some(email.to_string()),
-                )
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        span.add_records(idn_registrations.len() as u64);
-        drop(span);
-
-        // --- 2. Ordinary IDN registrations per TLD (Table I volumes). ---
-        // The seed vocabulary is finite, so plain sampling collides. Three
-        // phases per TLD: a parallel plan draws each record's meta stream
-        // and first-rung domain only; a sequential pass probes the interned
-        // dedup set (growing the label through the lazy retry rungs only
-        // for records that actually collide); a parallel finish resumes
-        // each winner's captured RNG stream for the record body. Every
-        // draw lands on the same keyed stream position as the eager-ladder
-        // formulation, so the `idnre-dataset/2` bytes are unchanged.
-        let mut span = recorder.span_at("datagen.ordinary_registrations", parent, 1);
-        let bulk_count = idn_registrations.len();
-        let mut seen = Interner::with_capacity(idn_registrations.len() * 2);
-        for reg in &idn_registrations {
-            seen.intern(&reg.domain);
-        }
-        for (spec_idx, spec) in TABLE_I.iter().enumerate() {
-            let n = config.scaled_idns(spec);
-            let spec_key = root
-                .stage(StageId::OrdinaryRegistrations)
-                .derive(spec_idx as u64);
-            let indices: Vec<u64> = (0..n).collect();
-            let plans = idnre_par::par_map(&indices, threads, |&i| {
-                let record_key = spec_key.record(i);
-                let mut meta = record_key.rng();
-                let language = labels::sample_language(&mut meta);
-                let label = labels::generate_label(&mut meta, language);
-                let (email, _) = sample_registrant(&mut meta, i);
-                let mut rng = record_key.derive(1).rng();
-                let rung0 = draw_idn_domain(&mut rng, &label, spec.tld)
-                    .map(|(domain, unicode)| (domain, unicode, rng));
-                OrdinaryPlan {
-                    language,
-                    label,
-                    email,
-                    rung0,
-                }
-            });
-            let mut winners: Vec<OrdinaryWinner> = Vec::with_capacity(plans.len());
-            for (i, plan) in plans.into_iter().enumerate() {
-                let OrdinaryPlan {
-                    language,
-                    mut label,
-                    email,
-                    rung0,
-                } = plan;
-                let mut won = match rung0 {
-                    Some((domain, unicode, rng)) if seen.intern_full(&domain).1 => {
-                        Some((domain, unicode, rng))
-                    }
-                    _ => None,
-                };
-                if won.is_none() {
-                    // Collision (or failed first rung): walk the remaining
-                    // rungs in order. Rung `k` draws from the record key's
-                    // child `derive(k + 1)`, its suffix growing the label
-                    // the previous rungs left behind — identical streams
-                    // and label accumulation to the precomputed ladder.
-                    let record_key = spec_key.record(i as u64);
-                    for attempt in 1..ORDINARY_ATTEMPTS {
-                        let mut rng = record_key.derive(attempt + 1).rng();
-                        label.push_str(&rng.gen_range(2..1000u32).to_string());
-                        let Some((domain, unicode)) = draw_idn_domain(&mut rng, &label, spec.tld)
-                        else {
-                            continue;
-                        };
-                        if seen.intern_full(&domain).1 {
-                            won = Some((domain, unicode, rng));
-                            break;
-                        }
-                    }
-                }
-                if let Some((domain, unicode, rng)) = won {
-                    winners.push(OrdinaryWinner {
-                        language,
-                        email,
-                        domain,
-                        unicode,
-                        rng,
-                    });
-                }
-            }
-            idn_registrations.extend(idnre_par::par_map(&winners, threads, |winner| {
-                let mut rng = winner.rng.clone();
-                finish_idn(
-                    &mut rng,
-                    config,
-                    winner.domain.clone(),
-                    winner.unicode.clone(),
-                    winner.language,
-                    spec.tld,
-                    winner.email.clone(),
-                )
-            }));
-        }
-        span.add_records((idn_registrations.len() - bulk_count) as u64);
-        drop(span);
-
-        // --- 3. Blacklist assignment over the bulk+ordinary population. ---
-        let mut span = recorder.span_at("datagen.blacklist", parent, 2);
-        let mut blacklist = BlacklistSet::new();
-        assign_blacklist(
-            root.stage(StageId::Blacklist),
-            config,
-            threads,
-            &mut idn_registrations,
-            &mut blacklist,
-        );
-        span.add_records(blacklist.union_count() as u64);
-        drop(span);
-
-        // --- 4. Attack populations (full scale by default). ---
-        let mut span = recorder.span_at("datagen.attack_injection", parent, 3);
-        let homograph_attacks = attacks::generate_homographs(
-            root.stage(StageId::HomographAttacks),
-            &brands,
-            config.attack_scale,
-            threads,
-        );
-        let semantic_attacks = attacks::generate_semantic_type1(
-            root.stage(StageId::SemanticType1Attacks),
-            &brands,
-            config.attack_scale,
-            threads,
-        );
-        let semantic2_attacks = attacks::generate_semantic_type2(
-            root.stage(StageId::SemanticType2Attacks),
-            config.attack_scale,
-        );
-        let inject_key = root.stage(StageId::AttackInjection);
-        // The ordinary stage's dedup set already holds every bulk and
-        // ordinary domain (the blacklist stage between mutates flags, not
-        // domains), so injection threads the same set through instead of
-        // rebuilding an identical one from scratch.
-        let mut existing = seen;
-        for (kind_word, (attacks_list, (kind, per_mille))) in
-            [&homograph_attacks, &semantic_attacks, &semantic2_attacks]
-                .into_iter()
-                .zip(ATTACK_CHANNELS)
-                .enumerate()
-        {
-            inject_attacks(
-                inject_key.derive(kind_word as u64),
-                config,
-                threads,
-                attacks_list,
-                kind,
-                per_mille,
-                &mut existing,
-                &mut idn_registrations,
-                &mut blacklist,
-            );
-        }
-        span.add_records(
-            (homograph_attacks.len() + semantic_attacks.len() + semantic2_attacks.len()) as u64,
-        );
-        drop(span);
-
-        // --- 5. Non-IDN comparison sample. ---
-        let mut span = recorder.span_at("datagen.non_idn_sample", parent, 4);
-        let non_idn_key = root.stage(StageId::NonIdnSample);
-        let mut non_idn_jobs: Vec<(u64, &str, u64)> = Vec::new();
-        for (spec_idx, spec) in TABLE_I.iter().enumerate() {
-            for i in 0..config.scaled_non_idn_sample(spec) {
-                non_idn_jobs.push((spec_idx as u64, spec.tld, i));
-            }
-        }
-        let non_idn_registrations: Vec<DomainRegistration> =
-            idnre_par::par_map(&non_idn_jobs, threads, |&(spec_idx, tld, i)| {
-                let mut rng = non_idn_key.derive(spec_idx).record(i).rng();
-                build_non_idn(&mut rng, config, i, tld)
-            });
-        span.add_records(non_idn_registrations.len() as u64);
-        drop(span);
-
-        // --- 6. WHOIS emission with per-TLD coverage. ---
-        let mut span = recorder.span_at("datagen.whois", parent, 5);
-        let whois = emit_whois(root.stage(StageId::Whois), threads, &idn_registrations);
-        span.add_records(whois.len() as u64);
-        drop(span);
-
-        // --- 7. Passive DNS: sample aggregates in parallel, insert in
-        //        registration order. ---
-        let mut span = recorder.span_at("datagen.pdns_traffic", parent, 6);
-        let pdns_key = root.stage(StageId::PdnsTraffic);
-        let traffic_jobs: Vec<(u64, &DomainRegistration, PopulationClass)> = idn_registrations
-            .iter()
-            .map(|reg| {
-                let class = match reg.malicious {
-                    Some(MaliciousKind::Homograph) => PopulationClass::Homographic,
-                    Some(MaliciousKind::SemanticType1 | MaliciousKind::SemanticType2) => {
-                        PopulationClass::SemanticType1
-                    }
-                    Some(_) => PopulationClass::MaliciousIdn,
-                    None => PopulationClass::BenignIdn,
-                };
-                (reg, class)
-            })
-            .chain(
-                non_idn_registrations
-                    .iter()
-                    .map(|reg| (reg, PopulationClass::NonIdn)),
-            )
-            .enumerate()
-            .map(|(i, (reg, class))| (i as u64, reg, class))
-            .collect();
-        let aggregates = idnre_par::par_map(&traffic_jobs, threads, |&(i, reg, class)| {
-            let mut rng = pdns_key.record(i).rng();
-            sample_traffic(&mut rng, reg, class, snapshot_day)
-        });
-        let mut pdns = PdnsStore::new();
-        for aggregate in aggregates.into_iter().flatten() {
-            pdns.insert_aggregate(aggregate);
-        }
-        span.add_records(pdns.len() as u64);
-        drop(span);
-
-        // --- 8. Certificates: each HTTPS host draws from its own stream
-        //        keyed by chain position, so issuance is independent of
-        //        every other record's HTTPS flag. ---
-        let mut span = recorder.span_at("datagen.certificates", parent, 7);
-        let cert_key = root.stage(StageId::Certificates);
-        let cert_jobs: Vec<(u64, &DomainRegistration)> = idn_registrations
-            .iter()
-            .chain(&non_idn_registrations)
-            .enumerate()
-            .map(|(i, reg)| (i as u64, reg))
-            .collect();
-        let certificates: Vec<(String, Certificate)> =
-            idnre_par::par_map(&cert_jobs, threads, |&(i, reg)| {
-                if !reg.https {
-                    return None;
-                }
-                let hosting = reg.hosting.as_ref()?;
-                let mut rng = cert_key.record(i).rng();
-                Some((
-                    reg.domain.clone(),
-                    hosting.issue_certificate(&mut rng, &reg.domain, snapshot_day),
-                ))
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        span.add_records(certificates.len() as u64);
-        drop(span);
-
-        // --- 9. Zone files (RNG-free). ---
-        let mut span = recorder.span_at("datagen.zones", parent, 8);
-        let (zones, zones_skipped) =
-            emit_zones(&idn_registrations, &non_idn_registrations, threads);
-        span.add_records(zones.iter().map(|z| z.records.len() as u64).sum());
-        drop(span);
-        recorder.add("datagen.zones.skipped", zones_skipped);
-
-        Ecosystem {
-            config: config.clone(),
-            brands,
-            idn_registrations,
-            non_idn_registrations,
-            homograph_attacks,
-            semantic_attacks,
-            semantic2_attacks,
-            whois,
-            pdns,
-            certificates,
-            blacklist,
-            zones,
-        }
+        stream::generate_keyed(config, None, recorder, parent).0
     }
 
     /// The malicious IDN registrations (any blacklist source).
@@ -460,27 +159,6 @@ impl Ecosystem {
     }
 }
 
-/// One ordinary record's parallel plan: the meta stream's products plus
-/// the first rung's domain and mid-stream RNG. The RNG is carried so the
-/// finish phase resumes exactly where the domain draw stopped — no
-/// replay, no second meta derivation.
-struct OrdinaryPlan {
-    language: Language,
-    label: String,
-    email: Option<String>,
-    rung0: Option<(String, String, KeyedRng)>,
-}
-
-/// A record that cleared dedup: everything [`finish_idn`] needs, with the
-/// winning rung's RNG positioned right after its domain draw.
-struct OrdinaryWinner {
-    language: Language,
-    email: Option<String>,
-    domain: String,
-    unicode: String,
-    rng: KeyedRng,
-}
-
 /// Precomputes the keyed retry ladders for one TLD's ordinary
 /// registrations. Ladder rung `k` draws from the record key's child
 /// `derive(k + 1)` (word 0 is the record's own meta stream), so a rung's
@@ -533,9 +211,9 @@ fn build_idn<R: Rng + ?Sized>(
 
 /// The domain-construction prefix of [`build_idn`]: the decorative
 /// confusable pick (ASCII labels only) and the IDNA round trip. Split out
-/// so the streaming planner can decide record survival from exactly the
-/// stream positions the batch builder consumes — any draw-order divergence
-/// here breaks the `idnre-dataset/2` golden fingerprint.
+/// so the planner can decide record survival from exactly the stream
+/// positions the record body later continues from — any draw-order
+/// divergence here breaks the `idnre-dataset/2` golden fingerprint.
 pub(crate) fn draw_idn_domain<R: Rng + ?Sized>(
     rng: &mut R,
     label: &str,
@@ -643,124 +321,10 @@ fn pronounceable<R: Rng + ?Sized>(rng: &mut R) -> String {
     out
 }
 
-/// One TLD's planned blacklist marks: flag mutations plus per-source feed
-/// inserts, computed in parallel and applied in spec order.
-struct BlacklistPlan {
-    flags: Vec<(usize, MaliciousKind, Date)>,
-    inserts: Vec<(Source, usize)>,
-}
-
-/// Marks the Table I blacklist proportions on the ordinary population and
-/// feeds the per-source sets. Each TLD spec plans against the same
-/// immutable population snapshot (their candidate sets are disjoint by
-/// TLD), then the plans apply sequentially.
-fn assign_blacklist(
-    key: Key,
-    config: &EcosystemConfig,
-    threads: usize,
-    registrations: &mut [DomainRegistration],
-    blacklist: &mut BlacklistSet,
-) {
-    let spec_indices: Vec<u64> = (0..TABLE_I.len() as u64).collect();
-    let population: &[DomainRegistration] = registrations;
-    let plans = idnre_par::par_map(&spec_indices, threads, |&spec_idx| {
-        let spec = &TABLE_I[spec_idx as usize];
-        let mut rng = key.record(spec_idx).rng();
-        let (vt, qihoo, baidu) = spec.declared_blacklisted;
-        let scaled = |n: u64| -> usize { (n / config.scale.max(1)).max(u64::from(n > 0)) as usize };
-        let mut candidates: Vec<usize> = population
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.tld == spec.tld && r.malicious.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        // Union structure: all of VirusTotal's finds, one third of Qihoo's
-        // as unique (the rest overlap VT), and Baidu's handful mostly
-        // unique — Table I's per-source totals behave this way.
-        let n_vt = scaled(vt);
-        let n_q = scaled(qihoo);
-        let n_q_unique = n_q / 3;
-        let n_b_unique = scaled(baidu).min(1) * u64::from(baidu > 0) as usize;
-        let union = n_vt + n_q_unique + n_b_unique;
-        let mut flags = Vec::new();
-        for _ in 0..union.min(candidates.len()) {
-            let idx = candidates.swap_remove(rng.gen_range(0..candidates.len()));
-            let kind = if rng.gen_ratio(7, 10) {
-                MaliciousKind::UndergroundBusiness
-            } else {
-                MaliciousKind::Other
-            };
-            let created = sample_malicious_creation_date(&mut rng, config.snapshot);
-            flags.push((idx, kind, created));
-        }
-        // Per-source attribution: every flagged domain gets at least one
-        // source, with the overlap block shared between VT and Qihoo.
-        let q_overlap = n_q - n_q_unique;
-        let mut inserts = Vec::new();
-        for (k, &(idx, _, _)) in flags.iter().enumerate() {
-            if k < n_vt {
-                inserts.push((Source::VirusTotal, idx));
-                if k >= n_vt.saturating_sub(q_overlap) {
-                    inserts.push((Source::Qihoo360, idx));
-                }
-            } else if k < n_vt + n_q_unique {
-                inserts.push((Source::Qihoo360, idx));
-            } else {
-                inserts.push((Source::Baidu, idx));
-            }
-        }
-        BlacklistPlan { flags, inserts }
-    });
-    for plan in plans {
-        for (idx, kind, created) in plan.flags {
-            registrations[idx].malicious = Some(kind);
-            registrations[idx].created = created;
-        }
-        for (source, idx) in plan.inserts {
-            blacklist.insert(source, &registrations[idx].domain);
-        }
-    }
-}
-
-/// Converts attack domains into registrations, blacklisting `per_mille` of
-/// them. The per-attack randomness (including the Qihoo-overlap draw) is
-/// keyed by attack index and sampled unconditionally, so the prepared
-/// record is independent of which attacks the dedup pass skips.
-#[allow(clippy::too_many_arguments)]
-fn inject_attacks(
-    key: Key,
-    config: &EcosystemConfig,
-    threads: usize,
-    attacks: &[AttackDomain],
-    kind: MaliciousKind,
-    per_mille: u32,
-    existing: &mut Interner,
-    registrations: &mut Vec<DomainRegistration>,
-    blacklist: &mut BlacklistSet,
-) {
-    let indices: Vec<u64> = (0..attacks.len() as u64).collect();
-    let prepared = idnre_par::par_map(&indices, threads, |&i| {
-        let mut rng = key.record(i).rng();
-        prepare_attack_registration(&mut rng, config, &attacks[i as usize], kind, per_mille)
-    });
-    for (reg, blacklisted, qihoo_too) in prepared {
-        if !existing.intern_full(&reg.domain).1 {
-            continue;
-        }
-        if blacklisted {
-            blacklist.insert(Source::VirusTotal, &reg.domain);
-            if qihoo_too {
-                blacklist.insert(Source::Qihoo360, &reg.domain);
-            }
-        }
-        registrations.push(reg);
-    }
-}
-
-/// The per-attack record preparation of [`inject_attacks`]: one keyed
-/// stream drives the blacklist roll, the Qihoo-overlap roll and the
-/// registration body, in that order. Shared by the streaming planner,
-/// which replays the same stream to regenerate attack records on demand.
+/// One attack's registration: one keyed stream drives the blacklist roll,
+/// the Qihoo-overlap roll and the registration body, in that order. The
+/// planner draws it for the rolls and the domain; regeneration replays the
+/// same stream for the record.
 pub(crate) fn prepare_attack_registration<R: Rng + ?Sized>(
     rng: &mut R,
     config: &EcosystemConfig,
@@ -806,22 +370,9 @@ pub(crate) fn prepare_attack_registration<R: Rng + ?Sized>(
     (reg, blacklisted, qihoo_too)
 }
 
-/// Emits WHOIS records honoring the per-TLD coverage of Table I (50.19%
-/// overall; 1.1% for iTLDs). Each registration's coverage roll and record
-/// body draw from a stream keyed by its position.
-fn emit_whois(key: Key, threads: usize, registrations: &[DomainRegistration]) -> Vec<WhoisRecord> {
-    let indices: Vec<u64> = (0..registrations.len() as u64).collect();
-    idnre_par::par_map(&indices, threads, |&i| {
-        whois_record_for(key, i, &registrations[i as usize])
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// One registration's WHOIS emission: the coverage roll and (when covered)
-/// the record body, on the stream keyed by corpus position `i`. Shared by
-/// the batch emitter and the streaming artifact pass.
+/// the record body, on the stream keyed by corpus position `i`. Emitted by
+/// the artifact walk.
 pub(crate) fn whois_record_for(key: Key, i: u64, reg: &DomainRegistration) -> Option<WhoisRecord> {
     let coverage = TABLE_I
         .iter()
@@ -856,51 +407,9 @@ pub(crate) fn sample_traffic<R: Rng + ?Sized>(
     model.sample_aggregate(rng, &reg.domain, snapshot_day, ip)
 }
 
-/// Builds one zone per TLD containing NS (and A, when resolving) records.
-///
-/// The zones are RNG-free: each TLD is one shard on the work-queue
-/// executor, filtering the registration stream independently. Records land
-/// in registration order within each zone, so the emitted zones are
-/// byte-identical for any `threads`.
-///
-/// Registrations whose names do not survive the zone's name grammar (e.g.
-/// an NS owner pushing past the 253-octet limit) are skipped, not
-/// panicked over; the second return value counts them (together with
-/// registrations matching no zone) so the caller can surface the loss
-/// (`datagen.zones.skipped`).
-fn emit_zones(
-    idns: &[DomainRegistration],
-    non_idns: &[DomainRegistration],
-    threads: usize,
-) -> (Vec<Zone>, u64) {
-    let origins: Vec<_> = TABLE_I
-        .iter()
-        .filter_map(|spec| spec.tld.parse::<idnre_idna::DomainName>().ok())
-        .collect();
-    let sharded = idnre_par::par_map(&origins, threads, |origin| {
-        let tld = origin.to_string();
-        let mut zone = Zone::new(origin.clone());
-        let mut parse_skipped = 0u64;
-        let mut matched = 0u64;
-        for reg in idns.iter().chain(non_idns).filter(|r| r.tld == tld) {
-            matched += 1;
-            match ns_record_for(reg) {
-                Some(record) => zone.records.push(record),
-                None => parse_skipped += 1,
-            }
-        }
-        (zone, parse_skipped, matched)
-    });
-    let total = (idns.len() + non_idns.len()) as u64;
-    let matched: u64 = sharded.iter().map(|(_, _, m)| m).sum();
-    let parse_skipped: u64 = sharded.iter().map(|(_, s, _)| s).sum();
-    let zones = sharded.into_iter().map(|(zone, _, _)| zone).collect();
-    (zones, parse_skipped + (total - matched))
-}
-
 /// One registration's delegation record (`None` when its name fails the
-/// zone grammar). Shared by the batch zone emitter and the streaming
-/// artifact pass.
+/// zone grammar). Emitted by the artifact walk, which counts the failures
+/// in `datagen.zones.skipped`.
 pub(crate) fn ns_record_for(reg: &DomainRegistration) -> Option<ResourceRecord> {
     let owner = reg.domain.parse().ok()?;
     let ns = format!("ns1.{}", reg.domain).parse().ok()?;
@@ -944,9 +453,18 @@ mod tests {
         assert_eq!(plain.non_idn_registrations, recorded.non_idn_registrations);
         assert_eq!(plain.blacklist, recorded.blacklist);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.stages.len(), 9, "one span per pipeline stage");
+        let names: Vec<&str> = snapshot.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "datagen.bulk_registrations",
+                "datagen.ordinary_registrations",
+                "datagen.stream.plan",
+                "datagen.stream.artifacts",
+            ],
+            "one span per generation step"
+        );
         for stage in &snapshot.stages {
-            assert!(stage.name.starts_with("datagen."), "{}", stage.name);
             assert_eq!(stage.calls, 1, "{}", stage.name);
             assert!(stage.records > 0, "{} recorded nothing", stage.name);
         }

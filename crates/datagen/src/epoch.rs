@@ -348,7 +348,11 @@ impl DaySimulator {
         // drawn before this epoch's expiry cohort opens new ones.
         let revivable: Vec<u64> = corpus.removed.iter().copied().collect();
         let rereg_key = root.stage(StageId::EpochReRegistration).derive(epoch);
-        for (k, &index) in revivable.iter().take((budget / 10).max(1) as usize).enumerate() {
+        for (k, &index) in revivable
+            .iter()
+            .take((budget / 10).max(1) as usize)
+            .enumerate()
+        {
             let mut rng = rereg_key.record(k as u64).rng();
             let (email, _) = sample_registrant(&mut rng, index);
             if corpus.reregister(index, config.snapshot, email) {
@@ -361,7 +365,11 @@ impl DaySimulator {
 
         // An expiry cohort: ~30% of the budget, contiguous — real zone
         // drops cluster by registration batch, so churn stays shard-local.
-        let mut expiry_rng = root.stage(StageId::EpochExpiry).derive(epoch).record(0).rng();
+        let mut expiry_rng = root
+            .stage(StageId::EpochExpiry)
+            .derive(epoch)
+            .record(0)
+            .rng();
         let cohort = (budget * 3 / 10).max(1);
         let span = corpus.idn_index_space();
         let start = expiry_rng.gen_range(0..span.saturating_sub(cohort).max(1));
@@ -375,7 +383,11 @@ impl DaySimulator {
         }
 
         // A registrar migration cohort (~10%), also contiguous.
-        let mut ns_rng = root.stage(StageId::EpochNsChange).derive(epoch).record(0).rng();
+        let mut ns_rng = root
+            .stage(StageId::EpochNsChange)
+            .derive(epoch)
+            .record(0)
+            .rng();
         let cohort = (budget / 10).max(1);
         let start = ns_rng.gen_range(0..span.saturating_sub(cohort).max(1));
         let registrar = MIGRATION_REGISTRARS[ns_rng.gen_range(0..MIGRATION_REGISTRARS.len())];
@@ -395,7 +407,7 @@ impl DaySimulator {
         // registered together get listed together), so a day's listings
         // stay shard-local like the other delta cohorts.
         let lag_key = root.stage(StageId::EpochBlacklistLag).derive(epoch);
-        let window = span.min(4096).max(1);
+        let window = span.clamp(1, 4096);
         let anchor = span - 1 - lag_key.record(0).rng().gen_range(0..window);
         for k in 0..(budget / 10).max(1) {
             let mut rng = lag_key.record(k + 1).rng();
@@ -524,11 +536,17 @@ mod tests {
         assert!(overlay.remove(7));
         let recreated = overlay.base.config().snapshot;
         assert!(overlay.reregister(7, recreated, Some("new@owner.example".into())));
-        assert!(!overlay.reregister(7, recreated, None), "not a hole anymore");
+        assert!(
+            !overlay.reregister(7, recreated, None),
+            "not a hole anymore"
+        );
         overlay.with_idn_shard_indexed(7, 1, &mut |records, indices| {
             assert_eq!(indices, [7]);
             assert_eq!(records[0].created, recreated);
-            assert_eq!(records[0].registrant_email.as_deref(), Some("new@owner.example"));
+            assert_eq!(
+                records[0].registrant_email.as_deref(),
+                Some("new@owner.example")
+            );
             assert_eq!(records[0].malicious, None, "revival clears the listing");
         });
     }

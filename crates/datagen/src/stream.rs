@@ -1,19 +1,17 @@
-//! Streaming generation: plan once, regenerate any shard on demand.
+//! The keyed planner: the one generator behind every dataset.
 //!
-//! [`generate_streamed`] runs the same nine-stage pipeline as
-//! [`Ecosystem::generate_recorded`] but never materializes the registration
-//! corpus. The stages with cross-record state (dedup, blacklist, attack
-//! injection) already split into parallel-plan/sequential-apply phases for
-//! schedule independence; here the plan phase is kept — compacted into a
-//! [`Recipe`] table of a few bytes per record — and the apply phase is
-//! deferred to shard regeneration time. Because every record's randomness
-//! is a pure function of `(seed, stage, record index)` (PR 4's keyed RNG),
-//! shard `k` regenerates byte-identically to the batch vectors whenever it
-//! is asked for, in any order, from any thread.
-//!
-//! Peak registration residency is `shard_size × workers`, tracked by a
-//! shared [`Gauge`] and reported as the `datagen.peak_resident_records`
-//! gauge (level + peak) in the metrics snapshot.
+//! The plan (stages 1–5: bulk and ordinary registrations, blacklist feeds,
+//! attack injection, the non-IDN sample) keeps only what decides the
+//! corpus — dedup survival, blacklist mutations, injected attacks — as a
+//! `Recipe` table of a few bytes per record. Every record's randomness is
+//! a pure function of `(seed, stage, record index)`, so the [`KeyedCorpus`]
+//! regenerates record `k` byte-identically on demand, in any order, from
+//! any thread. The artifact walk (stages 6–9) then derives WHOIS, pDNS,
+//! certificates and zones shard by shard: over slices of the populations,
+//! each regenerated once into its final vector, for [`Ecosystem::generate`];
+//! over regenerated shards for [`generate_streamed`], whose peak residency
+//! is `shard_size × workers`, tracked by a shared [`Gauge`] and reported as
+//! the `datagen.peak_resident_records` gauge (level + peak).
 
 use crate::attacks::{self, AttackDomain};
 use crate::brands::BrandList;
@@ -55,8 +53,8 @@ enum Recipe {
     Attack { kind: u8, index: u32 },
 }
 
-/// The compact streaming plan: enough to regenerate any corpus shard
-/// byte-identically to the batch vectors, without holding any records.
+/// The compact keyed plan: enough to regenerate any corpus record
+/// byte-identically, without holding any records.
 #[derive(Debug)]
 pub struct KeyedCorpus {
     config: EcosystemConfig,
@@ -116,6 +114,17 @@ impl KeyedCorpus {
         f(&records);
         drop(records);
         self.gauge.sub(len as u64);
+    }
+
+    /// Regenerates a whole population into one vector, in index order,
+    /// without touching the residency gauge: the materialized build.
+    fn materialize(
+        &self,
+        len: u64,
+        regen: fn(&Self, u64) -> DomainRegistration,
+    ) -> Vec<DomainRegistration> {
+        let indices: Vec<u64> = (0..len).collect();
+        idnre_par::par_map(&indices, self.config.threads, |&i| regen(self, i))
     }
 
     /// The configuration this plan was generated under (the epoch overlay
@@ -245,11 +254,11 @@ fn shard_spans(total: u64, shard_size: usize) -> Vec<(u64, usize)> {
     spans
 }
 
-/// Streaming twin of [`Ecosystem::generate_recorded`]: produces an
-/// [`Ecosystem`] whose registration vectors are **empty** (artifacts —
-/// WHOIS, pDNS, certificates, blacklist, zones — are fully populated and
-/// byte-identical to the batch path) plus the [`KeyedCorpus`] that
-/// regenerates any registration shard on demand.
+/// Streamed generation: produces an [`Ecosystem`] whose registration
+/// vectors are **empty** (artifacts — WHOIS, pDNS, certificates,
+/// blacklist, zones — are fully populated and byte-identical to
+/// [`Ecosystem::generate`]) plus the [`KeyedCorpus`] that regenerates any
+/// registration shard on demand.
 pub fn generate_streamed(
     config: &EcosystemConfig,
     shard_size: usize,
@@ -266,16 +275,26 @@ pub fn generate_streamed_traced(
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> (Ecosystem, KeyedCorpus) {
+    generate_keyed(config, Some(shard_size), recorder, parent)
+}
+
+/// The keyed plan (stages 1–5): settles dedup, blacklist feeds and attack
+/// injection from domain-construction draws alone and compacts the
+/// survivors into recipes. Records the sibling spans
+/// `datagen.{bulk_registrations,ordinary_registrations,stream.plan}` (stages
+/// 1, 2 and 3–5); none nests in another, so their sum counts no time twice.
+fn plan(
+    config: &EcosystemConfig,
+    recorder: &dyn Recorder,
+    parent: SpanCtx,
+) -> (KeyedCorpus, BrandList, BlacklistSet) {
     let root = Key::root(config.seed);
     let threads = config.threads;
     let brands = BrandList::with_size(config.brand_count);
 
-    // --- Plan phase: stages 1–5's randomness, domain-construction draws
-    //     only, compacted into recipes + overrides + the blacklist. ---
-    let mut span = recorder.span_at("datagen.stream.plan", parent, 0);
-
-    // Stage 1: bulk registrations (no cross-record dedup in the batch
-    // path, so every surviving job becomes a recipe).
+    // Stage 1: bulk registrations (no cross-record dedup, so every
+    // surviving job becomes a recipe).
+    let mut span = recorder.span_at("datagen.bulk_registrations", parent, 0);
     let bulk_key = root.stage(StageId::BulkRegistrations);
     let mut bulk_jobs: Vec<(u32, crate::registration::BulkTheme, u32)> = Vec::new();
     for (registrant, &(_, declared, theme)) in BULK_REGISTRANTS.iter().enumerate() {
@@ -296,9 +315,9 @@ pub fn generate_streamed_traced(
     // One interner doubles as the dedup set and the domain table; the
     // per-record `symbols` column maps recipe index → arena slot so stage 3
     // can resolve a candidate's domain without a second Vec<String> copy of
-    // the corpus. (Bulk keeps duplicate domains as distinct records — the
-    // batch path has no bulk dedup — so arena slots are NOT 1:1 with
-    // recipes and `Symbol::from_index(recipe_idx)` would misresolve.)
+    // the corpus. (Bulk keeps duplicate domains as distinct records, so
+    // arena slots are NOT 1:1 with recipes and
+    // `Symbol::from_index(recipe_idx)` would misresolve.)
     let mut seen = Interner::with_capacity(bulk_jobs.len() * 2);
     let mut symbols: Vec<Symbol> = Vec::new();
     let mut tlds: Vec<&'static str> = Vec::new();
@@ -312,10 +331,14 @@ pub fn generate_streamed_traced(
             tlds.push("com");
         }
     }
+    span.add_records(idn_recipes.len() as u64);
+    drop(span);
 
     // Stage 2: ordinary registrations — rung-0 domains planned in
     // parallel, later rungs derived lazily only when the sequential dedup
     // probe collides (the common case never re-rolls).
+    let mut span = recorder.span_at("datagen.ordinary_registrations", parent, 1);
+    let bulk_count = idn_recipes.len();
     let ordinary_key = root.stage(StageId::OrdinaryRegistrations);
     for (spec_idx, spec) in TABLE_I.iter().enumerate() {
         let n = config.scaled_idns(spec);
@@ -366,69 +389,76 @@ pub fn generate_streamed_traced(
             }
         }
     }
+    span.add_records((idn_recipes.len() - bulk_count) as u64);
+    drop(span);
 
-    // Stage 3: blacklist assignment — identical index arithmetic to the
-    // batch `assign_blacklist`, against (domain, tld) metadata instead of
-    // records; flag mutations become regeneration-time overrides.
+    // Stage 3: blacklist assignment over the bulk+ordinary population,
+    // against (domain, tld) metadata instead of records; flag mutations
+    // become regeneration-time overrides. Each TLD spec plans in parallel
+    // (their candidate sets are disjoint by TLD), then the plans apply in
+    // spec order.
+    let mut span = recorder.span_at("datagen.stream.plan", parent, 2);
     let mut blacklist = BlacklistSet::new();
     let mut overrides: HashMap<u64, (MaliciousKind, Date)> = HashMap::new();
-    {
-        let blacklist_key = root.stage(StageId::Blacklist);
-        let spec_indices: Vec<u64> = (0..TABLE_I.len() as u64).collect();
-        let plans = idnre_par::par_map(&spec_indices, threads, |&spec_idx| {
-            let spec = &TABLE_I[spec_idx as usize];
-            let mut rng = blacklist_key.record(spec_idx).rng();
-            let (vt, qihoo, baidu) = spec.declared_blacklisted;
-            let scaled =
-                |n: u64| -> usize { (n / config.scale.max(1)).max(u64::from(n > 0)) as usize };
-            // Bulk+ordinary records all carry `malicious: None` at this
-            // stage, so TLD equality is the whole candidate filter.
-            let mut candidates: Vec<usize> = tlds
-                .iter()
-                .enumerate()
-                .filter(|&(_, t)| *t == spec.tld)
-                .map(|(i, _)| i)
-                .collect();
-            let n_vt = scaled(vt);
-            let n_q = scaled(qihoo);
-            let n_q_unique = n_q / 3;
-            let n_b_unique = scaled(baidu).min(1) * u64::from(baidu > 0) as usize;
-            let union = n_vt + n_q_unique + n_b_unique;
-            let mut flags = Vec::new();
-            for _ in 0..union.min(candidates.len()) {
-                let idx = candidates.swap_remove(rng.gen_range(0..candidates.len()));
-                let kind = if rng.gen_ratio(7, 10) {
-                    MaliciousKind::UndergroundBusiness
-                } else {
-                    MaliciousKind::Other
-                };
-                let created =
-                    crate::registration::sample_malicious_creation_date(&mut rng, config.snapshot);
-                flags.push((idx, kind, created));
-            }
-            let q_overlap = n_q - n_q_unique;
-            let mut inserts = Vec::new();
-            for (k, &(idx, _, _)) in flags.iter().enumerate() {
-                if k < n_vt {
-                    inserts.push((Source::VirusTotal, idx));
-                    if k >= n_vt.saturating_sub(q_overlap) {
-                        inserts.push((Source::Qihoo360, idx));
-                    }
-                } else if k < n_vt + n_q_unique {
+    let blacklist_key = root.stage(StageId::Blacklist);
+    let spec_indices: Vec<u64> = (0..TABLE_I.len() as u64).collect();
+    let plans = idnre_par::par_map(&spec_indices, threads, |&spec_idx| {
+        let spec = &TABLE_I[spec_idx as usize];
+        let mut rng = blacklist_key.record(spec_idx).rng();
+        let (vt, qihoo, baidu) = spec.declared_blacklisted;
+        let scaled = |n: u64| -> usize { (n / config.scale.max(1)).max(u64::from(n > 0)) as usize };
+        // Bulk+ordinary records all carry `malicious: None` at this
+        // stage, so TLD equality is the whole candidate filter.
+        let mut candidates: Vec<usize> = tlds
+            .iter()
+            .enumerate()
+            .filter(|&(_, t)| *t == spec.tld)
+            .map(|(i, _)| i)
+            .collect();
+        // Union structure: all of VirusTotal's finds, one third of
+        // Qihoo's as unique (the rest overlap VT), and Baidu's handful
+        // mostly unique — Table I's per-source totals behave this way.
+        let n_vt = scaled(vt);
+        let n_q = scaled(qihoo);
+        let n_q_unique = n_q / 3;
+        let n_b_unique = scaled(baidu).min(1) * u64::from(baidu > 0) as usize;
+        let union = n_vt + n_q_unique + n_b_unique;
+        let mut flags = Vec::new();
+        for _ in 0..union.min(candidates.len()) {
+            let idx = candidates.swap_remove(rng.gen_range(0..candidates.len()));
+            let kind = if rng.gen_ratio(7, 10) {
+                MaliciousKind::UndergroundBusiness
+            } else {
+                MaliciousKind::Other
+            };
+            let created =
+                crate::registration::sample_malicious_creation_date(&mut rng, config.snapshot);
+            flags.push((idx, kind, created));
+        }
+        // Per-source attribution: every flagged domain gets at least
+        // one source, with the overlap block shared between VT and Qihoo.
+        let q_overlap = n_q - n_q_unique;
+        let mut inserts = Vec::new();
+        for (k, &(idx, _, _)) in flags.iter().enumerate() {
+            if k < n_vt {
+                inserts.push((Source::VirusTotal, idx));
+                if k >= n_vt.saturating_sub(q_overlap) {
                     inserts.push((Source::Qihoo360, idx));
-                } else {
-                    inserts.push((Source::Baidu, idx));
                 }
+            } else if k < n_vt + n_q_unique {
+                inserts.push((Source::Qihoo360, idx));
+            } else {
+                inserts.push((Source::Baidu, idx));
             }
-            (flags, inserts)
-        });
-        for (flags, inserts) in plans {
-            for (idx, kind, created) in flags {
-                overrides.insert(idx as u64, (kind, created));
-            }
-            for (source, idx) in inserts {
-                blacklist.insert(source, seen.resolve(symbols[idx]));
-            }
+        }
+        (flags, inserts)
+    });
+    for (flags, inserts) in plans {
+        for (idx, kind, created) in flags {
+            overrides.insert(idx as u64, (kind, created));
+        }
+        for (source, idx) in inserts {
+            blacklist.insert(source, seen.resolve(symbols[idx]));
         }
     }
 
@@ -480,9 +510,6 @@ pub fn generate_streamed_traced(
             });
         }
     }
-    drop(tlds);
-    drop(symbols);
-    drop(seen);
 
     // Stage 5: the non-IDN sample needs no planning at all — per-spec
     // counts are a pure function of the config.
@@ -496,11 +523,7 @@ pub fn generate_streamed_traced(
 
     let corpus = KeyedCorpus {
         config: config.clone(),
-        attacks: [
-            homograph_attacks.clone(),
-            semantic_attacks.clone(),
-            semantic2_attacks.clone(),
-        ],
+        attacks: [homograph_attacks, semantic_attacks, semantic2_attacks],
         idn_recipes,
         overrides,
         non_idn_spans,
@@ -508,12 +531,43 @@ pub fn generate_streamed_traced(
     };
     span.add_records(corpus.idn_len() + corpus.non_idn_len());
     drop(span);
+    (corpus, brands, blacklist)
+}
 
-    // --- Artifact phase (stages 6–9): one fused traversal computing
-    //     WHOIS, pDNS, certificates and zone records per shard in
-    //     parallel, applied sequentially in shard order so every artifact
-    //     lands in exactly the batch path's order. ---
-    let mut span = recorder.span_at("datagen.stream.artifacts", parent, 1);
+/// Every dataset's generator, in three steps: the keyed [`plan`]; for a
+/// materialized build (`shard_size == None`), one regeneration of each
+/// population straight into its final vector; and the artifact walk
+/// (stages 6–9), one fused traversal computing WHOIS, pDNS, certificates
+/// and zone records per shard in parallel, applied sequentially in shard
+/// order so every artifact lands in corpus order. A materialized build
+/// walks slices of its vectors; a streamed build walks regenerated
+/// `shard_size` shards and returns empty registration vectors. The
+/// artifacts are the same for any shard size.
+pub(crate) fn generate_keyed(
+    config: &EcosystemConfig,
+    shard_size: Option<usize>,
+    recorder: &dyn Recorder,
+    parent: SpanCtx,
+) -> (Ecosystem, KeyedCorpus) {
+    let (corpus, brands, blacklist) = plan(config, recorder, parent);
+    // Materialization is timed inside the artifact span, where a streamed
+    // build times its shard regeneration, so the two builds'
+    // `datagen.stream.artifacts` walls compare like for like.
+    let mut span = recorder.span_at("datagen.stream.artifacts", parent, 3);
+    let materialized = shard_size.is_none();
+    let (idn_registrations, non_idn_registrations) = if materialized {
+        (
+            corpus.materialize(corpus.idn_len(), KeyedCorpus::regen_idn),
+            corpus.materialize(corpus.non_idn_len(), KeyedCorpus::regen_non_idn),
+        )
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    // Slices cost nothing to hand out, so a materialized walk takes about
+    // one shard per worker and population: the fewest buffers to merge.
+    let shard_size =
+        shard_size.unwrap_or_else(|| idn_registrations.len().div_ceil(config.threads.max(1)));
+    let root = Key::root(config.seed);
     let snapshot_day = config.snapshot.day_number();
     let whois_key = root.stage(StageId::Whois);
     let pdns_key = root.stage(StageId::PdnsTraffic);
@@ -543,7 +597,7 @@ pub fn generate_streamed_traced(
                 .map(|(start, len)| (false, start, len)),
         )
         .collect();
-    let artifact_shards = idnre_par::par_map(&shards, threads, |&(is_idn, start, len)| {
+    let artifact_shards = idnre_par::par_map(&shards, config.threads, |&(is_idn, start, len)| {
         let mut out = ShardArtifacts {
             whois: Vec::new(),
             aggregates: Vec::new(),
@@ -556,7 +610,7 @@ pub fn generate_streamed_traced(
             for (offset, reg) in records.iter().enumerate() {
                 let index = start + offset as u64;
                 // The pDNS/certificate streams are keyed by the chained
-                // idn-then-non-idn enumeration, like the batch stages 7–8.
+                // idn-then-non-idn enumeration; WHOIS covers IDNs only.
                 let chained = if is_idn { index } else { idn_len + index };
                 if is_idn {
                     if let Some(record) = whois_record_for(whois_key, index, reg) {
@@ -579,6 +633,9 @@ pub fn generate_streamed_traced(
                 if let Some(aggregate) = sample_traffic(&mut rng, reg, class, snapshot_day) {
                     out.aggregates.push(aggregate);
                 }
+                // Each HTTPS host draws from its own stream keyed by chain
+                // position, so issuance is independent of every other
+                // record's HTTPS flag.
                 if reg.https {
                     if let Some(hosting) = reg.hosting.as_ref() {
                         let mut rng = cert_key.record(chained).rng();
@@ -597,10 +654,12 @@ pub fn generate_streamed_traced(
                 }
             }
         };
-        if is_idn {
-            corpus.with_idn_shard(start, len, &mut emit);
-        } else {
-            corpus.with_non_idn_shard(start, len, &mut emit);
+        let (first, end) = (start as usize, start as usize + len);
+        match (is_idn, materialized) {
+            (true, true) => emit(&idn_registrations[first..end]),
+            (false, true) => emit(&non_idn_registrations[first..end]),
+            (true, false) => corpus.with_idn_shard(start, len, &mut emit),
+            (false, false) => corpus.with_non_idn_shard(start, len, &mut emit),
         }
         out
     });
@@ -624,7 +683,6 @@ pub fn generate_streamed_traced(
         zone_parse_skipped += shard.zone_parse_skipped;
     }
     let total = idn_len + corpus.non_idn_len();
-    let zones_skipped = zone_parse_skipped + (total - zone_matched);
     span.add_records(
         whois.len() as u64
             + pdns.len() as u64
@@ -632,13 +690,17 @@ pub fn generate_streamed_traced(
             + zones.iter().map(|z| z.records.len() as u64).sum::<u64>(),
     );
     drop(span);
-    recorder.add("datagen.zones.skipped", zones_skipped);
+    recorder.add(
+        "datagen.zones.skipped",
+        zone_parse_skipped + (total - zone_matched),
+    );
 
+    let [homograph_attacks, semantic_attacks, semantic2_attacks] = corpus.attacks.clone();
     let eco = Ecosystem {
         config: config.clone(),
         brands,
-        idn_registrations: Vec::new(),
-        non_idn_registrations: Vec::new(),
+        idn_registrations,
+        non_idn_registrations,
         homograph_attacks,
         semantic_attacks,
         semantic2_attacks,
@@ -680,6 +742,8 @@ mod tests {
         out
     }
 
+    // `Ecosystem::generate` materializes each population in one pass;
+    // shard regeneration must reproduce it at any shard size.
     #[test]
     fn streamed_shards_reproduce_batch_records() {
         let config = config();

@@ -97,9 +97,9 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n_chunks {
                     break;
@@ -113,8 +113,7 @@ where
                     .push((i, result));
             });
         }
-    })
-    .expect("worker panicked");
+    });
     let mut per_chunk = slots.into_inner().expect("result slot poisoned");
     per_chunk.sort_unstable_by_key(|&(i, _)| i);
     per_chunk.into_iter().map(|(_, r)| r).collect()

@@ -5,10 +5,20 @@ use crate::histogram::LatencyHistogram;
 use crate::render::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot, StageSnapshot};
 use crate::trace::{SpanCtx, TraceLog, TraceSnapshot};
 use crate::{Recorder, Span};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Shared access to a registry table; a poisoned lock means a panic
+/// mid-update, which no snapshot should paper over.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().expect("registry lock poisoned")
+}
+
+/// Exclusive access to a registry table (see [`read`]).
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().expect("registry lock poisoned")
+}
 
 /// Accumulated statistics for one named stage.
 #[derive(Debug)]
@@ -168,25 +178,19 @@ impl Registry {
 
     /// The stats cell for `name`, creating it on first use.
     pub fn stage(&self, name: &str) -> Arc<StageStats> {
-        if let Some(stats) = self.stages.read().get(name) {
+        if let Some(stats) = read(&self.stages).get(name) {
             return Arc::clone(stats);
         }
-        Arc::clone(
-            self.stages
-                .write()
-                .get_or_insert_with(name, || Arc::new(StageStats::new(name))),
-        )
+        Arc::clone(write(&self.stages).get_or_insert_with(name, || Arc::new(StageStats::new(name))))
     }
 
     /// The counter cell for `name`, creating it (at zero) on first use.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some((_, cell)) = self.counters.read().get(name) {
+        if let Some((_, cell)) = read(&self.counters).get(name) {
             return Arc::clone(cell);
         }
         Arc::clone(
-            &self
-                .counters
-                .write()
+            &write(&self.counters)
                 .get_or_insert_with(name, || (name.to_string(), Arc::new(AtomicU64::new(0))))
                 .1,
         )
@@ -194,8 +198,7 @@ impl Registry {
 
     /// Current value of a counter (0 when never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .read()
+        read(&self.counters)
             .get(name)
             .map(|(_, cell)| cell.load(Ordering::Relaxed))
             .unwrap_or(0)
@@ -203,13 +206,11 @@ impl Registry {
 
     /// The gauge cell for `name`, creating it (at zero) on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some((_, cell)) = self.gauges.read().get(name) {
+        if let Some((_, cell)) = read(&self.gauges).get(name) {
             return Arc::clone(cell);
         }
         Arc::clone(
-            &self
-                .gauges
-                .write()
+            &write(&self.gauges)
                 .get_or_insert_with(name, || (name.to_string(), Arc::new(Gauge::new())))
                 .1,
         )
@@ -217,8 +218,7 @@ impl Registry {
 
     /// Current level of a gauge (0 when never touched).
     pub fn gauge_value(&self, name: &str) -> u64 {
-        self.gauges
-            .read()
+        read(&self.gauges)
             .get(name)
             .map(|(_, cell)| cell.value())
             .unwrap_or(0)
@@ -226,8 +226,7 @@ impl Registry {
 
     /// Peak level of a gauge (0 when never touched).
     pub fn gauge_peak(&self, name: &str) -> u64 {
-        self.gauges
-            .read()
+        read(&self.gauges)
             .get(name)
             .map(|(_, cell)| cell.peak())
             .unwrap_or(0)
@@ -246,16 +245,12 @@ impl Registry {
 
     /// A point-in-time copy of every stage and counter, in first-use order.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let stages = self
-            .stages
-            .read()
+        let stages = read(&self.stages)
             .entries
             .iter()
             .map(|s| s.snapshot())
             .collect();
-        let counters = self
-            .counters
-            .read()
+        let counters = read(&self.counters)
             .entries
             .iter()
             .map(|(name, cell)| CounterSnapshot {
@@ -263,9 +258,7 @@ impl Registry {
                 value: cell.load(Ordering::Relaxed),
             })
             .collect();
-        let gauges = self
-            .gauges
-            .read()
+        let gauges = read(&self.gauges)
             .entries
             .iter()
             .map(|(name, cell)| GaugeSnapshot {

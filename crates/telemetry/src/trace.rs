@@ -30,8 +30,8 @@
 //! or `chrome://tracing`; [`TraceSnapshot::render_structure`] emits the
 //! timing-free skeleton that determinism tests compare byte-for-byte.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Schema identifier embedded in the Chrome trace-event JSON export.
@@ -126,7 +126,7 @@ impl TraceLog {
 
     /// Appends a completed span.
     pub(crate) fn push(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        self.events.lock().expect("trace log poisoned").push(event);
     }
 
     /// Creates a structural group node under `parent` and returns its
@@ -152,7 +152,7 @@ impl TraceLog {
 
     /// Number of events logged so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock().expect("trace log poisoned").len()
     }
 
     /// Whether the log holds no events.
@@ -162,7 +162,7 @@ impl TraceLog {
 
     /// Assembles the events into a tree snapshot.
     pub fn snapshot(&self) -> TraceSnapshot {
-        TraceSnapshot::build(&self.events.lock())
+        TraceSnapshot::build(&self.events.lock().expect("trace log poisoned"))
     }
 }
 
