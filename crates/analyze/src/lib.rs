@@ -65,6 +65,16 @@ impl Merge for u64 {
     }
 }
 
+/// Element-wise sums: a fixed set of counters tallied side by side.
+impl<const N: usize> Merge for [u64; N] {
+    fn merge(mut self, later: Self) -> Self {
+        for (a, b) in self.iter_mut().zip(later) {
+            *a += b;
+        }
+        self
+    }
+}
+
 impl Merge for () {
     fn merge(self, (): Self) -> Self {}
 }

@@ -27,8 +27,9 @@
 //! repro --stream --epochs 5 --churn-per-mille 20 all  # ~2% churn per epoch
 //! ```
 //!
-//! With `--metrics`, every pipeline stage (generation, detector scans, the
-//! crawl survey, each report generator) is timed through
+//! With `--metrics`, every pipeline stage (generation, the fused scan with
+//! one stage per pass — the crawl and WHOIS surveys among them — and each
+//! report generator) is timed through
 //! [`idnre_telemetry::Registry`] and the snapshot is rendered to stderr, so
 //! stdout stays a clean report stream. `--write PATH` combined with
 //! `--metrics json` also writes the snapshot to `PATH.metrics.json`.
@@ -44,8 +45,9 @@
 //!
 //! With `--stream`, the registration corpus is never materialized whole:
 //! the streaming generator regenerates `--shard-size N` records at a time
-//! (default 1024) and the fused analysis scan and surveys walk the shards,
-//! so peak resident records stay ≈ `shard_size × threads` at any scale
+//! (default 1024) and the column build and the fused analysis scan
+//! (surveys included) walk the shards, so peak resident records stay
+//! ≈ `shard_size × threads` at any scale
 //! (reported as the `datagen.peak_resident_records` counter under
 //! `--metrics`). The report bytes are identical to the batch build.
 //! `--stream` cannot be combined with `--faults` or `--dump-dataset`;

@@ -320,12 +320,11 @@ pub fn run_epochs(
             &skeletons,
         );
         let started = Instant::now();
-        let (homographs, semantic, outputs, _bucket) =
-            plan.run_at(&source, shard_size, threads, &NoopRecorder, SpanCtx::NONE);
+        let rebuild = plan.run_at(&source, shard_size, threads, &NoopRecorder, SpanCtx::NONE);
         let rebuild_ns = started.elapsed().as_nanos() as u64;
-        ctx.homographs = homographs;
-        ctx.semantic = semantic;
-        ctx.outputs = outputs;
+        ctx.homographs = rebuild.homographs;
+        ctx.semantic = rebuild.semantic;
+        ctx.outputs = rebuild.outputs;
         let rebuild_report = ctx.full_report();
 
         assert_reports_match(epoch, &incremental_report, &rebuild_report);

@@ -45,11 +45,10 @@ pub use slo::{slo_profile, SLO_PROFILES};
 
 use idnre_analyze::{RecordSource, SliceSource, StreamSource};
 use idnre_core::{HomographDetector, HomographFinding, SemanticDetector, SemanticFinding};
-use idnre_crawler::{AuthBehavior, Crawler, Page, PageKind, OUTCOME_COUNTERS};
-use idnre_datagen::{ContentCategory, DomainRegistration, Ecosystem, EcosystemConfig, KeyedCorpus};
-use idnre_fault::ErrorBudget;
+use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_fault::{ErrorBudget, FaultPlan};
 use idnre_telemetry::{NoopRecorder, Recorder, SpanCtx};
-use std::net::Ipv4Addr;
+use idnre_whois::CrawlStats;
 use std::sync::Arc;
 
 /// Default shard size of the fused corpus traversal (and of `--stream`).
@@ -102,9 +101,9 @@ impl ReproContext {
     }
 
     /// [`ReproContext::build`] with every pipeline stage (generation, the
-    /// fused analysis scan, the surveys) reported to `recorder`. The built
-    /// context — and therefore every report — is byte-identical regardless
-    /// of the recorder.
+    /// fused analysis scan and the surveys folded onto it) reported to
+    /// `recorder`. The built context — and therefore every report — is
+    /// byte-identical regardless of the recorder.
     pub fn build_recorded(config: &EcosystemConfig, recorder: Arc<dyn Recorder>) -> Self {
         Self::build_batch(config, recorder, false)
     }
@@ -125,18 +124,22 @@ impl ReproContext {
         drop(span);
 
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-        let (homographs, semantic, outputs, mining) = run_scan(
+        let Scanned {
+            homographs,
+            semantic,
+            outputs,
+            mining,
+            ..
+        } = run_scan(
             &eco,
             &source,
             DEFAULT_SHARD_SIZE,
             config.threads,
             mine,
+            Surveys::All,
             &*recorder,
             SpanCtx::ROOT,
         );
-        let view = CorpusView::Batch(&eco);
-        crawl_survey(&view, &eco, &*recorder, SpanCtx::ROOT);
-        robust::whois_survey_view(&view, &eco, None, None, &*recorder, SpanCtx::ROOT);
         ReproContext {
             eco,
             homographs,
@@ -149,12 +152,15 @@ impl ReproContext {
     }
 
     /// [`ReproContext::build_recorded`] without ever materializing the full
-    /// registration corpus: the streaming [`KeyedCorpus`] regenerates each
-    /// shard on demand, the fused scan and both surveys walk it
-    /// `shard_size` records at a time, and the corpus's residency gauge
-    /// lands in the `datagen.peak_resident_records` counter. The report is
-    /// byte-identical to the batch build at the same config, for every
-    /// `shard_size` and thread count.
+    /// registration corpus: the streaming [`idnre_datagen::KeyedCorpus`]
+    /// regenerates each shard on demand, and the artifact walk, the column
+    /// build and the fused scan (which carries both surveys) walk it
+    /// `shard_size` records at a time: three walks of the IDN population,
+    /// two of the non-IDN one. The corpus's residency peak lands in the
+    /// `datagen.peak_resident_records` gauge and its walks in the
+    /// `datagen.records.regenerated` counter. The report is byte-identical
+    /// to the batch build at the same config, for every `shard_size` and
+    /// thread count.
     pub fn build_streamed(
         config: &EcosystemConfig,
         shard_size: usize,
@@ -188,23 +194,25 @@ impl ReproContext {
         drop(span);
 
         let source = StreamSource::new(&corpus);
-        let (homographs, semantic, outputs, mining) = run_scan(
+        let Scanned {
+            homographs,
+            semantic,
+            outputs,
+            mining,
+            ..
+        } = run_scan(
             &eco,
             &source,
             shard_size,
             config.threads,
             mine,
+            Surveys::All,
             &*recorder,
             SpanCtx::ROOT,
         );
-        let view = CorpusView::Streamed {
-            corpus: &corpus,
-            shard_size,
-        };
-        crawl_survey(&view, &eco, &*recorder, SpanCtx::ROOT);
-        robust::whois_survey_view(&view, &eco, None, None, &*recorder, SpanCtx::ROOT);
-        // Recorded last so the gauge covers the surveys' shard walks too.
+        // Recorded last so both cover every shard walk of the build.
         recorder.gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
+        recorder.add(idnre_datagen::REGENERATED_RECORDS, corpus.regenerated());
         ReproContext {
             eco,
             homographs,
@@ -217,12 +225,13 @@ impl ReproContext {
     }
 
     /// [`ReproContext::build_recorded`] under a fault schedule: generation
-    /// and the detector scans run as usual, but the zone corpus is
-    /// round-tripped through lenient ingest with seeded corruption, the
-    /// WHOIS crawl sees corrupted transfers, and the crawl survey runs the
-    /// full retry/backoff schedule against injected faults. The damage is
-    /// tallied in an [`ErrorBudget`] and the context carries a
-    /// [`RunHealth`] whose status is the run's exit-code verdict.
+    /// and the detector scans run as usual, but the WHOIS survey on the
+    /// scan sees corrupted transfers, the zone corpus is round-tripped
+    /// through lenient ingest with seeded corruption, and the crawl survey
+    /// runs the full retry/backoff schedule against injected faults
+    /// instead of riding the scan. The damage is tallied in an
+    /// [`ErrorBudget`] and the context carries a [`RunHealth`] whose status
+    /// is the run's exit-code verdict.
     pub fn build_faulted(
         config: &EcosystemConfig,
         setup: &FaultSetup,
@@ -234,31 +243,33 @@ impl ReproContext {
         drop(span);
 
         let threads = config.threads;
+        let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-        let (homographs, semantic, outputs, _) = run_scan(
+        let Scanned {
+            homographs,
+            semantic,
+            outputs,
+            whois: whois_stats,
+            ..
+        } = run_scan(
             &eco,
             &source,
             DEFAULT_SHARD_SIZE,
             threads,
             false,
+            Surveys::FaultedWhois {
+                plan: &setup.plan,
+                budget: &budget,
+            },
             &*recorder,
             SpanCtx::ROOT,
         );
 
-        let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
         let (zones, zone_stats) = robust::ingest_zones_faulted_at(
             &eco.zones,
             &setup.plan,
             &budget,
             threads,
-            &*recorder,
-            SpanCtx::ROOT,
-        );
-        let whois_stats = robust::whois_survey_view(
-            &CorpusView::Batch(&eco),
-            &eco,
-            Some(&setup.plan),
-            Some(&budget),
             &*recorder,
             SpanCtx::ROOT,
         );
@@ -370,93 +381,44 @@ impl ReproContext {
     }
 }
 
-/// How the builders walk the registration corpus: borrow the batch vectors
-/// whole, or regenerate bounded shards from a streaming [`KeyedCorpus`].
-/// Both walk the populations in the same order (IDN first), so everything
-/// fed from a view is byte-identical across the two modes.
-pub(crate) enum CorpusView<'a> {
-    /// The fully materialized batch corpus.
-    Batch(&'a Ecosystem),
-    /// A shard-regenerating corpus plan.
-    Streamed {
-        /// The streaming corpus.
-        corpus: &'a KeyedCorpus,
-        /// Records materialized per shard.
-        shard_size: usize,
+/// Which observational surveys a build folds onto its fused scan.
+enum Surveys<'a> {
+    /// The crawl and the WHOIS survey (the plain builds).
+    All,
+    /// Only the WHOIS survey, under a fault plan whose damage `budget`
+    /// tallies (the faulted build, whose crawl survey runs the retry
+    /// schedule after the scan instead).
+    FaultedWhois {
+        plan: &'a FaultPlan,
+        budget: &'a ErrorBudget,
     },
 }
 
-impl CorpusView<'_> {
-    /// Calls `f` with consecutive slices covering the IDN population, in
-    /// corpus order (one slice for the batch view).
-    pub(crate) fn for_each_idn_shard(&self, f: &mut dyn FnMut(&[DomainRegistration])) {
-        match self {
-            CorpusView::Batch(eco) => f(&eco.idn_registrations),
-            CorpusView::Streamed { corpus, shard_size } => {
-                let shard_size = (*shard_size).max(1);
-                let total = corpus.idn_len();
-                let mut start = 0u64;
-                while start < total {
-                    let len = (total - start).min(shard_size as u64) as usize;
-                    corpus.with_idn_shard(start, len, f);
-                    start += len as u64;
-                }
-            }
-        }
-    }
-
-    /// [`CorpusView::for_each_idn_shard`] for the non-IDN population.
-    pub(crate) fn for_each_non_idn_shard(&self, f: &mut dyn FnMut(&[DomainRegistration])) {
-        match self {
-            CorpusView::Batch(eco) => f(&eco.non_idn_registrations),
-            CorpusView::Streamed { corpus, shard_size } => {
-                let shard_size = (*shard_size).max(1);
-                let total = corpus.non_idn_len();
-                let mut start = 0u64;
-                while start < total {
-                    let len = (total - start).min(shard_size as u64) as usize;
-                    corpus.with_non_idn_shard(start, len, f);
-                    start += len as u64;
-                }
-            }
-        }
-    }
-
-    /// Calls `f` once per record, IDN population first — the order the
-    /// batch pipeline's chained iteration used.
-    pub(crate) fn for_each(&self, f: &mut dyn FnMut(&DomainRegistration)) {
-        self.for_each_idn_shard(&mut |records| {
-            for reg in records {
-                f(reg);
-            }
-        });
-        self.for_each_non_idn_shard(&mut |records| {
-            for reg in records {
-                f(reg);
-            }
-        });
-    }
+/// What [`run_scan`] hands back to a builder.
+struct Scanned {
+    homographs: Vec<HomographFinding>,
+    semantic: Vec<SemanticFinding>,
+    outputs: passes::ScanOutputs,
+    mining: Option<MiningOutputs>,
+    whois: CrawlStats,
 }
 
-/// Builds both detectors and the full report-aggregator roster, then runs
-/// the one fused traversal every corpus-derived number comes from. With
-/// `mine` set, the skeleton-LSH bucket index folds on the same traversal
-/// (pass A) and the pair miner (pass B) runs over its non-singleton
-/// buckets afterwards, under the same parent span.
+/// Builds both detectors and the full report-aggregator roster plus the
+/// `surveys`, then runs the one fused traversal every corpus-derived
+/// number comes from. With `mine` set, the skeleton-LSH bucket index folds
+/// on the same traversal (pass A) and the pair miner (pass B) runs over
+/// its non-singleton buckets afterwards, under the same parent span.
+#[allow(clippy::too_many_arguments)]
 fn run_scan(
     eco: &Ecosystem,
     source: &dyn RecordSource,
     shard_size: usize,
     threads: usize,
     mine: bool,
+    surveys: Surveys<'_>,
     recorder: &dyn Recorder,
     parent: SpanCtx,
-) -> (
-    Vec<HomographFinding>,
-    Vec<SemanticFinding>,
-    passes::ScanOutputs,
-    Option<MiningOutputs>,
-) {
+) -> Scanned {
     let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
     let detector = HomographDetector::new(&brand_domains, 0.95);
     let semantic_detector = SemanticDetector::new(&brand_domains);
@@ -469,7 +431,7 @@ fn run_scan(
         parent,
     );
     let mining_plan = mine.then(|| mine::MiningPlan::new(&columns, threads));
-    let plan = match &mining_plan {
+    let mut plan = match &mining_plan {
         Some(mining_plan) => passes::ScanPlan::new_mined(
             &detector,
             &semantic_detector,
@@ -490,9 +452,21 @@ fn run_scan(
             threads,
         ),
     };
-    let (homographs, semantic, outputs, index) =
-        plan.run_at(source, shard_size, threads, recorder, parent);
-    let mining = match (index, &mining_plan) {
+    let whois = match surveys {
+        Surveys::All => {
+            plan = plan.with_crawl_survey();
+            passes::WhoisPass::new(&eco.whois, None, None)
+        }
+        Surveys::FaultedWhois { plan, budget } => {
+            passes::WhoisPass::new(&eco.whois, Some(plan), Some(budget))
+        }
+    };
+    let run = plan
+        .with_whois_survey(whois)
+        .run_at(source, shard_size, threads, recorder, parent);
+    let whois = run.whois.expect("the WHOIS survey is registered");
+    robust::record_whois_coverage(&whois, recorder);
+    let mining = match (run.bucket_index, &mining_plan) {
         (Some(index), Some(mining_plan)) => Some(mine::mine_portfolios(
             &index,
             &columns,
@@ -504,91 +478,13 @@ fn run_scan(
         )),
         _ => None,
     };
-    (homographs, semantic, outputs, mining)
-}
-
-/// Replays the paper's Section IV-D measurement front-end over the whole
-/// registered population: builds a [`Crawler`] from the generated TLD zones
-/// and each registration's content category, then resolves and crawls every
-/// domain, reporting per-outcome DNS counters, usage-category counters and
-/// resolve/crawl latency histograms to `recorder`. Purely observational —
-/// nothing feeds back into report data.
-fn crawl_survey(view: &CorpusView<'_>, eco: &Ecosystem, recorder: &dyn Recorder, parent: SpanCtx) {
-    let mut span = recorder.span_at("crawl.survey", parent, 0);
-    let mut crawler = Crawler::new();
-    for zone in &eco.zones {
-        crawler.add_zone(zone);
+    Scanned {
+        homographs: run.homographs,
+        semantic: run.semantic,
+        outputs: run.outputs,
+        mining,
+        whois,
     }
-    view.for_each(&mut |reg| {
-        let (behavior, page) = host_model(reg);
-        if let Some(behavior) = behavior {
-            crawler.set_host(&reg.domain, behavior, page);
-        }
-    });
-    // Pin the full outcome-counter set so a snapshot always carries all
-    // five, even for outcomes this population never produced.
-    recorder.preregister(&OUTCOME_COUNTERS);
-    let mut crawled = 0u64;
-    view.for_each(&mut |reg| {
-        let _ = crawler.crawl_recorded(&reg.domain, recorder);
-        crawled += 1;
-    });
-    span.add_records(crawled);
-}
-
-/// Derives a deterministic authoritative-server model from a registration's
-/// ground-truth content category. The unresolved population spreads over
-/// REFUSED, SERVFAIL, timeouts and explicit lame delegations.
-fn host_model(reg: &DomainRegistration) -> (Option<AuthBehavior>, Option<Page>) {
-    let hash = fnv1a(reg.domain.as_bytes());
-    let ip = Ipv4Addr::new(203, 0, 113, (hash % 254 + 1) as u8);
-    match reg.content {
-        ContentCategory::NotResolved => {
-            // The paper: "all resolution errors come from name servers" —
-            // spread the failure modes over the unresolved population.
-            let behavior = match hash % 4 {
-                0 => Some(AuthBehavior::Refuse),
-                1 => Some(AuthBehavior::ServFail),
-                2 => Some(AuthBehavior::Timeout),
-                _ => Some(AuthBehavior::Lame),
-            };
-            (behavior, None)
-        }
-        ContentCategory::Error => (Some(AuthBehavior::Answer(ip)), None),
-        ContentCategory::Empty => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, "", PageKind::Empty)),
-        ),
-        ContentCategory::Parked => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, "Domain parked", PageKind::Parking)),
-        ),
-        ContentCategory::ForSale => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, "Domain for sale", PageKind::ForSale)),
-        ),
-        ContentCategory::Redirected => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(
-                200,
-                "Redirecting",
-                PageKind::Redirect("https://destination.example/".to_string()),
-            )),
-        ),
-        _ => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, &reg.unicode, PageKind::Content)),
-        ),
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -659,7 +555,7 @@ mod tests {
         for stage in &snapshot.stages {
             assert!(stage.calls > 0, "{} never called", stage.name);
         }
-        for name in OUTCOME_COUNTERS {
+        for name in idnre_crawler::OUTCOME_COUNTERS {
             assert!(
                 snapshot.counters.iter().any(|c| c.name == name),
                 "missing pre-registered counter {name}"

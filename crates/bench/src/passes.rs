@@ -10,6 +10,12 @@
 //! registered-lookalike set (Figure 6). The partials are [`Merge`]-able and
 //! merged in shard order, so the outputs are byte-identical across thread
 //! counts and shard sizes.
+//!
+//! The two observational surveys ride the same traversal: the Section
+//! IV-D crawl ([`CrawlPass`]) crawls each record's host from a model
+//! derived from the record alone, and the WHOIS collection
+//! ([`WhoisPass`]) queries each IDN's registrar. Neither keeps per-domain
+//! state, and no report reads them; their counters are the observable.
 
 use crate::mine::{BucketIndexPass, MiningPlan};
 use idnre_analyze::{
@@ -22,13 +28,21 @@ use idnre_core::{
     AvailabilityEnumerator, ColumnedHomographPass, HomographDetector, HomographFinding,
     Semantic1Pass, Semantic2Pass, SemanticDetector, SemanticFinding, SkeletonCache,
 };
-use idnre_datagen::{Brand, ContentCategory};
+use idnre_crawler::{
+    AuthBehavior, Page, PageKind, ResolutionOutcome, UsageCategory, OUTCOME_COUNTERS,
+    USAGE_COUNTERS,
+};
+use idnre_datagen::{Brand, ContentCategory, DomainRegistration};
+use idnre_fault::{ErrorBudget, FaultPlan};
 use idnre_langid::{Classifier, Language};
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
 use idnre_whois::analytics::RegistrationAnalytics;
-use idnre_whois::WhoisRecord;
+use idnre_whois::{
+    CrawlFailure, CrawlStats, ServerPolicy, WhoisCrawler, WhoisRecord, CRAWL_COUNTERS,
+};
 use std::collections::{HashMap, HashSet};
+use std::net::Ipv4Addr;
 
 /// The passive-DNS lookup counters the activity pass touches from worker
 /// threads (pre-registered before the fan-out).
@@ -504,6 +518,281 @@ impl AnalysisPass for Fig6Pass {
     }
 }
 
+/// The crawl pass's counters: [`OUTCOME_COUNTERS`], then
+/// [`USAGE_COUNTERS`] in [`UsageCategory::ALL`] order.
+pub const CRAWL_SURVEY_COUNTERS: [&str; 12] = {
+    let mut names = [""; 12];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = if i < OUTCOME_COUNTERS.len() {
+            OUTCOME_COUNTERS[i]
+        } else {
+            USAGE_COUNTERS[i - OUTCOME_COUNTERS.len()]
+        };
+        i += 1;
+    }
+    names
+};
+
+/// Index of `outcome`'s counter in [`OUTCOME_COUNTERS`].
+pub(crate) fn outcome_index(outcome: ResolutionOutcome) -> usize {
+    match outcome {
+        ResolutionOutcome::Resolved(_) => 0,
+        ResolutionOutcome::NxDomain => 1,
+        ResolutionOutcome::Refused => 2,
+        ResolutionOutcome::ServFail => 3,
+        _ => 4, // Timeout (and any future outcome folds into the slowest bin)
+    }
+}
+
+/// Index of `category` in [`UsageCategory::ALL`] (and [`USAGE_COUNTERS`]).
+pub(crate) fn usage_index(category: UsageCategory) -> usize {
+    UsageCategory::ALL
+        .iter()
+        .position(|&c| c == category)
+        .unwrap_or(0)
+}
+
+/// The paper's Section IV-D measurement front-end over the whole
+/// registered population: every record's host is crawled from the model
+/// [`host_model`] derives from that record alone
+/// ([`idnre_crawler::crawl_host`]), so the pass holds no per-domain
+/// tables. Partial and output: the [`CRAWL_SURVEY_COUNTERS`] tallies, in
+/// that order. Every shard's partial starts empty, so at
+/// [`AnalysisPass::shard_end`] it holds exactly that shard's tallies,
+/// which one batched [`Recorder::add`] per counter flushes.
+#[derive(Debug, Clone, Copy)]
+pub struct CrawlPass;
+
+impl AnalysisPass for CrawlPass {
+    type Partial = [u64; 12];
+    type Output = [u64; 12];
+
+    fn name(&self) -> &'static str {
+        "analyze.pass.crawl"
+    }
+
+    fn counters(&self) -> &'static [&'static str] {
+        &CRAWL_SURVEY_COUNTERS
+    }
+
+    fn empty(&self) -> Self::Partial {
+        [0; 12]
+    }
+
+    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, _: &dyn Recorder) {
+        let (behavior, page) = host_model(rec.reg);
+        let (outcome, category) = idnre_crawler::crawl_host(behavior, page.as_ref());
+        partial[outcome_index(outcome)] += 1;
+        partial[OUTCOME_COUNTERS.len() + usage_index(category)] += 1;
+    }
+
+    fn shard_end(&self, partial: &mut Self::Partial, recorder: &dyn Recorder) {
+        for (name, n) in CRAWL_SURVEY_COUNTERS.iter().zip(*partial) {
+            recorder.add(name, n);
+        }
+    }
+
+    fn finish(&self, partial: Self::Partial) -> Self::Output {
+        partial
+    }
+}
+
+/// Derives a deterministic authoritative-server model from a registration's
+/// ground-truth content category. The unresolved population spreads over
+/// REFUSED, SERVFAIL, timeouts and explicit lame delegations. A pure
+/// function of the record: the crawl pass needs no per-domain state.
+pub fn host_model(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
+    let hash = fnv1a(reg.domain.as_bytes());
+    let ip = Ipv4Addr::new(203, 0, 113, (hash % 254 + 1) as u8);
+    match reg.content {
+        ContentCategory::NotResolved => {
+            // The paper: "all resolution errors come from name servers" —
+            // spread the failure modes over the unresolved population.
+            let behavior = match hash % 4 {
+                0 => AuthBehavior::Refuse,
+                1 => AuthBehavior::ServFail,
+                2 => AuthBehavior::Timeout,
+                _ => AuthBehavior::Lame,
+            };
+            (behavior, None)
+        }
+        ContentCategory::Error => (AuthBehavior::Answer(ip), None),
+        ContentCategory::Empty => (
+            AuthBehavior::Answer(ip),
+            Some(Page::new(200, "", PageKind::Empty)),
+        ),
+        ContentCategory::Parked => (
+            AuthBehavior::Answer(ip),
+            Some(Page::new(200, "Domain parked", PageKind::Parking)),
+        ),
+        ContentCategory::ForSale => (
+            AuthBehavior::Answer(ip),
+            Some(Page::new(200, "Domain for sale", PageKind::ForSale)),
+        ),
+        ContentCategory::Redirected => (
+            AuthBehavior::Answer(ip),
+            Some(Page::new(
+                200,
+                "Redirecting",
+                PageKind::Redirect("https://destination.example/".to_string()),
+            )),
+        ),
+        _ => (
+            AuthBehavior::Answer(ip),
+            Some(Page::new(200, &reg.unicode, PageKind::Content)),
+        ),
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+const OPEN_REGISTRAR: &str = "open-registrar";
+const BLOCKING_REGISTRAR: &str = "blocking-registrar";
+/// Tally slots after the [`CRAWL_COUNTERS`]: error-budget ok / error.
+const BUDGET_OK: usize = CRAWL_COUNTERS.len();
+const BUDGET_ERROR: usize = CRAWL_COUNTERS.len() + 1;
+
+/// Replays the paper's WHOIS collection over the registered IDN corpus so
+/// the ≈50% coverage story is *observable*: registrations the generator
+/// covered serve well-formed responses; uncovered ones split between
+/// registrar blocks and unparseable dialects (the paper's two loss
+/// reasons). With a fault plan, a slice of the covered responses arrives
+/// corrupted — those parse failures are the fault layer's damage and feed
+/// the error budget. Telemetry lands in [`CRAWL_COUNTERS`]
+/// (`whois.parse.failed` among them); the caller adds
+/// `whois.coverage.per_mille` from the merged output. The partial tallies
+/// the [`CRAWL_COUNTERS`] and then the budget's ok and error records; like
+/// [`CrawlPass`], each shard flushes its own tallies at
+/// [`AnalysisPass::shard_end`] (the budget's atomics are
+/// order-independent).
+#[derive(Debug)]
+pub struct WhoisPass<'a> {
+    crawler: WhoisCrawler,
+    covered: HashSet<&'a str>,
+    plan: Option<&'a FaultPlan>,
+    budget: Option<&'a ErrorBudget>,
+}
+
+impl<'a> WhoisPass<'a> {
+    /// A survey of the domains `whois` covers (and the ones it does not),
+    /// optionally under a fault plan whose damage `budget` tallies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a registrar endpoint has a quota: a global rate limit
+    /// depends on query order, which a sharded scan does not fix.
+    pub fn new(
+        whois: &'a [WhoisRecord],
+        plan: Option<&'a FaultPlan>,
+        budget: Option<&'a ErrorBudget>,
+    ) -> Self {
+        let mut crawler = WhoisCrawler::new();
+        crawler.add_server(
+            OPEN_REGISTRAR,
+            ServerPolicy {
+                rate_limit: u32::MAX,
+                blocks_crawlers: false,
+                // Parse success is decided by response content here, not a
+                // second lottery.
+                unparseable_per_mille: 0,
+            },
+        );
+        crawler.add_server(BLOCKING_REGISTRAR, ServerPolicy::blocking());
+        assert!(
+            !crawler.is_rate_limited(),
+            "a sharded WHOIS survey cannot enforce a global rate limit"
+        );
+        WhoisPass {
+            crawler,
+            covered: whois.iter().map(|r| r.domain.as_str()).collect(),
+            plan,
+            budget,
+        }
+    }
+}
+
+impl AnalysisPass for WhoisPass<'_> {
+    type Partial = [u64; 7];
+    type Output = CrawlStats;
+
+    fn name(&self) -> &'static str {
+        "analyze.pass.whois"
+    }
+
+    fn counters(&self) -> &'static [&'static str] {
+        &CRAWL_COUNTERS
+    }
+
+    fn empty(&self) -> Self::Partial {
+        [0; 7]
+    }
+
+    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, _: &dyn Recorder) {
+        if rec.population != Population::Idn {
+            return;
+        }
+        let domain = rec.reg.domain.as_str();
+        let result = if self.covered.contains(domain) {
+            if self.plan.is_some_and(|p| p.corrupts("whois", domain)) {
+                partial[BUDGET_ERROR] += 1;
+                // A mangled transfer: no parseable field survives.
+                self.crawler
+                    .crawl_unmetered(OPEN_REGISTRAR, "@@ %% corrupted transfer %% @@\n")
+            } else {
+                partial[BUDGET_OK] += 1;
+                let raw = format!(
+                    "Domain Name: {domain}\nRegistrar: {}\nName Server: ns1.{domain}\n",
+                    rec.reg.registrar
+                );
+                self.crawler.crawl_unmetered(OPEN_REGISTRAR, &raw)
+            }
+        } else if fnv1a(domain.as_bytes()) % 5 < 3 {
+            // The generator withheld WHOIS here; attribute the gap to the
+            // paper's two reasons (blocks dominate). A blocking registrar
+            // refuses before serving anything.
+            self.crawler.crawl_unmetered(BLOCKING_REGISTRAR, "")
+        } else {
+            self.crawler
+                .crawl_unmetered(OPEN_REGISTRAR, "≡≡ unsupported dialect ≡≡\n")
+        };
+        partial[0] += 1;
+        partial[match result {
+            Ok(_) => 1,
+            Err(CrawlFailure::Blocked) => 2,
+            Err(CrawlFailure::ParseFailure) => 3,
+            Err(_) => 4, // NoServer
+        }] += 1;
+    }
+
+    fn shard_end(&self, partial: &mut Self::Partial, recorder: &dyn Recorder) {
+        for (name, n) in CRAWL_COUNTERS.iter().zip(*partial) {
+            recorder.add(name, n);
+        }
+        if let Some(budget) = self.budget {
+            budget.record_ok(partial[BUDGET_OK]);
+            budget.record_error(partial[BUDGET_ERROR]);
+        }
+    }
+
+    fn finish(&self, partial: Self::Partial) -> Self::Output {
+        let [_, parsed, blocked, parse_failures, no_server, _, _] = partial;
+        CrawlStats {
+            parsed: parsed as usize,
+            blocked: blocked as usize,
+            parse_failures: parse_failures as usize,
+            no_server: no_server as usize,
+        }
+    }
+}
+
 /// The domains whose unicode form Table III renders: every domain held by
 /// one of the top-5 registrant emails in the WHOIS corpus.
 pub fn table3_wanted(whois: &[WhoisRecord]) -> HashSet<String> {
@@ -596,11 +885,37 @@ pub fn build_columns(
     columns
 }
 
+/// What one fused traversal of a [`ScanPlan`] produced.
+#[derive(Debug)]
+pub struct ScanRun {
+    /// Homograph-detector findings.
+    pub homographs: Vec<HomographFinding>,
+    /// Type-1 semantic findings.
+    pub semantic: Vec<SemanticFinding>,
+    /// Every report aggregate.
+    pub outputs: ScanOutputs,
+    /// The folded skeleton-LSH bucket index, on plans built with
+    /// [`ScanPlan::new_mined`].
+    pub bucket_index: Option<BucketIndex>,
+    /// The WHOIS survey's outcome statistics, on plans with
+    /// [`ScanPlan::with_whois_survey`].
+    pub whois: Option<CrawlStats>,
+}
+
 /// The full pass roster for one [`crate::ReproContext`] build: both
 /// detectors plus every report aggregator, registered on one
-/// [`ShardedScan`].
+/// [`ShardedScan`], plus the surveys a build opts into.
 pub struct ScanPlan<'p> {
     scan: ShardedScan<'p>,
+    reports: ReportHandles,
+    bucket: Option<PassHandle<BucketIndex>>,
+    crawl: bool,
+    whois: Option<PassHandle<CrawlStats>>,
+}
+
+/// The handles of the passes every plan registers: both detectors and
+/// the report aggregators.
+struct ReportHandles {
     homograph: PassHandle<Vec<HomographFinding>>,
     semantic1: PassHandle<Vec<SemanticFinding>>,
     semantic2: PassHandle<Vec<SemanticFinding>>,
@@ -610,7 +925,30 @@ pub struct ScanPlan<'p> {
     activity: PassHandle<PopulationActivity>,
     table3: PassHandle<HashMap<String, String>>,
     fig6: PassHandle<HashSet<String>>,
-    bucket: Option<PassHandle<BucketIndex>>,
+}
+
+impl ReportHandles {
+    fn take(
+        &self,
+        result: &mut ScanResult,
+    ) -> (Vec<HomographFinding>, Vec<SemanticFinding>, ScanOutputs) {
+        let outputs = ScanOutputs {
+            tld: result.take(&self.tld),
+            language: result.take(&self.language),
+            content: result.take(&self.content),
+            activity: result.take(&self.activity),
+            semantic2: result.take(&self.semantic2),
+            table3_unicode: result.take(&self.table3),
+            fig6_registered: result.take(&self.fig6),
+            idn_len: result.idn_len(),
+            non_idn_len: result.non_idn_len(),
+        };
+        (
+            result.take(&self.homograph),
+            result.take(&self.semantic1),
+            outputs,
+        )
+    }
 }
 
 impl<'p> ScanPlan<'p> {
@@ -663,8 +1001,9 @@ impl<'p> ScanPlan<'p> {
 
     /// [`ScanPlan::new`] plus the portfolio-mining pass A: the
     /// skeleton-LSH [`BucketIndexPass`] is fused onto the same traversal,
-    /// registered last so the default nine passes keep their telemetry
-    /// positions. The folded index comes back from [`ScanPlan::run_at`].
+    /// registered after the default nine passes so they keep their
+    /// telemetry positions (and before any survey). The folded index comes
+    /// back from [`ScanPlan::run_at`].
     #[allow(clippy::too_many_arguments)]
     pub fn new_mined(
         homograph: &'p HomographDetector,
@@ -698,29 +1037,39 @@ impl<'p> ScanPlan<'p> {
         mining: Option<&'p MiningPlan>,
     ) -> Self {
         let mut scan = ShardedScan::new();
-        let homograph = scan.register(homograph_pass);
-        let semantic1 = scan.register(Semantic1Pass::new(semantic));
-        let semantic2 = scan.register(Semantic2Pass::new(semantic));
-        let tld = scan.register(TldPass::new(columns));
-        let language = scan.register(LanguagePass::new(columns));
-        let content = scan.register(ContentPass);
-        let activity = scan.register(ActivityPass::new(pdns));
-        let table3 = scan.register(Table3UnicodePass::new(table3_wanted));
-        let fig6 = scan.register(Fig6Pass::new(fig6_candidates));
+        let reports = ReportHandles {
+            homograph: scan.register(homograph_pass),
+            semantic1: scan.register(Semantic1Pass::new(semantic)),
+            semantic2: scan.register(Semantic2Pass::new(semantic)),
+            tld: scan.register(TldPass::new(columns)),
+            language: scan.register(LanguagePass::new(columns)),
+            content: scan.register(ContentPass),
+            activity: scan.register(ActivityPass::new(pdns)),
+            table3: scan.register(Table3UnicodePass::new(table3_wanted)),
+            fig6: scan.register(Fig6Pass::new(fig6_candidates)),
+        };
         let bucket = mining.map(|plan| scan.register(BucketIndexPass::new(columns, plan)));
         ScanPlan {
             scan,
-            homograph,
-            semantic1,
-            semantic2,
-            tld,
-            language,
-            content,
-            activity,
-            table3,
-            fig6,
+            reports,
             bucket,
+            crawl: false,
+            whois: None,
         }
+    }
+
+    /// Registers the crawl survey ([`CrawlPass`]) after every pass so far.
+    /// Its observable is its counters; the plan discards its output.
+    pub fn with_crawl_survey(mut self) -> Self {
+        self.scan.register(CrawlPass);
+        self.crawl = true;
+        self
+    }
+
+    /// Registers the WHOIS survey `pass` after every pass so far.
+    pub fn with_whois_survey(mut self, pass: WhoisPass<'p>) -> Self {
+        self.whois = Some(self.scan.register(pass));
+        self
     }
 
     /// Number of registered passes.
@@ -743,21 +1092,14 @@ impl<'p> ScanPlan<'p> {
         self.scan.merge_is_associative(source, chunk_size, recorder)
     }
 
-    /// Runs the fused traversal and redeems every handle. The fourth
-    /// element is the folded skeleton-LSH bucket index — `Some` only on
-    /// plans built with [`ScanPlan::new_mined`].
+    /// Runs the fused traversal and redeems every handle.
     pub fn run(
         self,
         source: &dyn RecordSource,
         shard_size: usize,
         threads: usize,
         recorder: &dyn Recorder,
-    ) -> (
-        Vec<HomographFinding>,
-        Vec<SemanticFinding>,
-        ScanOutputs,
-        Option<BucketIndex>,
-    ) {
+    ) -> ScanRun {
         self.run_at(source, shard_size, threads, recorder, SpanCtx::NONE)
     }
 
@@ -770,33 +1112,18 @@ impl<'p> ScanPlan<'p> {
         threads: usize,
         recorder: &dyn Recorder,
         parent: SpanCtx,
-    ) -> (
-        Vec<HomographFinding>,
-        Vec<SemanticFinding>,
-        ScanOutputs,
-        Option<BucketIndex>,
-    ) {
-        let mut result: ScanResult = self
+    ) -> ScanRun {
+        let mut result = self
             .scan
             .run_at(source, shard_size, threads, recorder, parent);
-        let outputs = ScanOutputs {
-            tld: result.take(&self.tld),
-            language: result.take(&self.language),
-            content: result.take(&self.content),
-            activity: result.take(&self.activity),
-            semantic2: result.take(&self.semantic2),
-            table3_unicode: result.take(&self.table3),
-            fig6_registered: result.take(&self.fig6),
-            idn_len: result.idn_len(),
-            non_idn_len: result.non_idn_len(),
-        };
-        let bucket = self.bucket.as_ref().map(|handle| result.take(handle));
-        (
-            result.take(&self.homograph),
-            result.take(&self.semantic1),
+        let (homographs, semantic, outputs) = self.reports.take(&mut result);
+        ScanRun {
+            homographs,
+            semantic,
             outputs,
-            bucket,
-        )
+            bucket_index: self.bucket.as_ref().map(|handle| result.take(handle)),
+            whois: self.whois.as_ref().map(|handle| result.take(handle)),
+        }
     }
 
     /// Advances one epoch through `state` instead of folding every shard:
@@ -820,27 +1147,12 @@ impl<'p> ScanPlan<'p> {
         EpochStats,
     ) {
         debug_assert!(
-            self.bucket.is_none(),
-            "mining pass A is one-shot; epochs exclude --mine-portfolios"
+            self.bucket.is_none() && !self.crawl && self.whois.is_none(),
+            "mining pass A and the surveys are one-shot; epochs run neither"
         );
         let (mut result, stats) =
             state.advance(self.scan, source, threads, deltas, recorder, parent);
-        let outputs = ScanOutputs {
-            tld: result.take(&self.tld),
-            language: result.take(&self.language),
-            content: result.take(&self.content),
-            activity: result.take(&self.activity),
-            semantic2: result.take(&self.semantic2),
-            table3_unicode: result.take(&self.table3),
-            fig6_registered: result.take(&self.fig6),
-            idn_len: result.idn_len(),
-            non_idn_len: result.non_idn_len(),
-        };
-        (
-            result.take(&self.homograph),
-            result.take(&self.semantic1),
-            outputs,
-            stats,
-        )
+        let (homographs, semantic, outputs) = self.reports.take(&mut result);
+        (homographs, semantic, outputs, stats)
     }
 }

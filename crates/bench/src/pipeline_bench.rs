@@ -602,6 +602,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
             crate::DEFAULT_SHARD_SIZE,
             threads,
             false,
+            crate::Surveys::All,
             &probe_registry,
             SpanCtx::NONE,
         );
@@ -613,6 +614,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
             crate::DEFAULT_SHARD_SIZE,
             threads,
             false,
+            crate::Surveys::All,
             &NoopRecorder,
             SpanCtx::NONE,
         );
@@ -1079,8 +1081,9 @@ mod tests {
         for ledger in &ledgers {
             // Every registered pass shows up: 3 core detectors + 6 report
             // aggregation passes + the two mining stages (pass A fused on
-            // the scan, pass B's bucket fold).
-            assert_eq!(ledger.rows.len(), 11, "{} ledger rows", ledger.mode);
+            // the scan, pass B's bucket fold) + the crawl and WHOIS
+            // surveys.
+            assert_eq!(ledger.rows.len(), 13, "{} ledger rows", ledger.mode);
             assert!(ledger.scan_wall_ns > 0);
             for row in &ledger.rows {
                 assert_eq!(row.stage, format!("{PASS_STAGE_PREFIX}{}", row.pass));

@@ -11,15 +11,17 @@
 //! time and stateless hashes, so a fixed fault spec replays byte-for-byte
 //! across runs *and* across worker-thread counts.
 
+use crate::passes::{host_model, outcome_index, usage_index, WhoisPass};
+use idnre_analyze::{ShardedScan, SliceSource};
 use idnre_crawler::{
-    Crawler, FaultContext, ResolutionOutcome, UsageCategory, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS,
-    OUTCOME_COUNTERS, RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, USAGE_COUNTERS,
+    Crawler, FaultContext, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS, OUTCOME_COUNTERS, RETRY_COUNTERS,
+    SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, USAGE_COUNTERS,
 };
 use idnre_datagen::Ecosystem;
 use idnre_fault::{ErrorBudget, FaultPlan, RetryPolicy, RunStatus, SimClock};
 use idnre_sched::{SchedConfig, SchedStats};
 use idnre_telemetry::{Recorder, SpanCtx};
-use idnre_whois::{CrawlStats, ServerPolicy, WhoisCrawler, CRAWL_COUNTERS};
+use idnre_whois::CrawlStats;
 use idnre_zonefile::{parse_zone_lenient, write_zone, Zone};
 
 /// How a faulted run is configured: the fault schedule, the retry
@@ -107,7 +109,7 @@ pub struct SurveyStats {
     pub elapsed_nanos: u64,
     /// Resolution outcomes in [`OUTCOME_COUNTERS`] order.
     pub outcomes: [u64; 5],
-    /// Usage categories in [`UsageCategory::ALL`] order.
+    /// Usage categories in [`idnre_crawler::UsageCategory::ALL`] order.
     pub usage: [u64; 7],
 }
 
@@ -129,23 +131,6 @@ impl SurveyStats {
             self.usage[i] += other.usage[i];
         }
     }
-}
-
-fn outcome_index(outcome: ResolutionOutcome) -> usize {
-    match outcome {
-        ResolutionOutcome::Resolved(_) => 0,
-        ResolutionOutcome::NxDomain => 1,
-        ResolutionOutcome::Refused => 2,
-        ResolutionOutcome::ServFail => 3,
-        _ => 4, // Timeout (and any future outcome folds into the slowest bin)
-    }
-}
-
-fn usage_index(category: UsageCategory) -> usize {
-    UsageCategory::ALL
-        .iter()
-        .position(|&c| c == category)
-        .unwrap_or(0)
 }
 
 /// The terminal health of one faulted run: what each stage attempted and
@@ -226,10 +211,7 @@ impl RunHealth {
     /// reports. Deterministic for a fixed fault spec: every number comes
     /// from seeded hashes and virtual clocks.
     pub fn render(&self) -> String {
-        let whois_attempted = self.whois.parsed
-            + self.whois.blocked
-            + self.whois.parse_failures
-            + self.whois.no_server;
+        let whois_attempted = self.whois.attempted();
         let whois_per_mille = (self.whois.parsed as u64 * 1000)
             .checked_div(whois_attempted as u64)
             .unwrap_or(1000);
@@ -392,13 +374,10 @@ pub fn ingest_zones_faulted_at(
     (salvaged, stats)
 }
 
-/// Replays the paper's WHOIS collection over the registered IDN corpus so
-/// the ≈50% coverage story is *observable*: registrations the generator
-/// covered serve well-formed responses; uncovered ones split between
-/// registrar blocks and unparseable dialects (the paper's two loss
-/// reasons). With a fault plan, a slice of the covered responses arrives
-/// corrupted — those parse failures are the fault layer's damage and feed
-/// the error budget. Telemetry lands in [`CRAWL_COUNTERS`]
+/// Replays the paper's WHOIS collection over the registered IDN corpus
+/// (see [`WhoisPass`]) as a one-pass fused scan on the context's worker
+/// count: the stats, counters and budget are identical for any thread
+/// count. Telemetry lands in [`idnre_whois::CRAWL_COUNTERS`]
 /// (`whois.parse.failed` among them) plus `whois.coverage.per_mille`.
 pub fn whois_survey(
     eco: &Ecosystem,
@@ -406,104 +385,28 @@ pub fn whois_survey(
     budget: Option<&ErrorBudget>,
     recorder: &dyn Recorder,
 ) -> CrawlStats {
-    whois_survey_view(
-        &crate::CorpusView::Batch(eco),
-        eco,
-        plan,
-        budget,
-        recorder,
-        SpanCtx::NONE,
-    )
+    // The survey covers IDNs only; an empty non-IDN side skips that walk.
+    let source = SliceSource::new(&eco.idn_registrations, &[]);
+    let mut scan = ShardedScan::new();
+    let handle = scan.register(WhoisPass::new(&eco.whois, plan, budget));
+    let stats = scan
+        .run(
+            &source,
+            crate::DEFAULT_SHARD_SIZE,
+            eco.config.threads,
+            recorder,
+        )
+        .take(&handle);
+    record_whois_coverage(&stats, recorder);
+    stats
 }
 
-/// [`whois_survey`] over an arbitrary corpus view: the batch view crawls
-/// the whole IDN population as one batch; the streamed view crawls one
-/// regenerated shard at a time against the same (stateful) crawler, which
-/// is exactly additive — the stats, counters and budget are identical to
-/// the batch run.
-pub(crate) fn whois_survey_view(
-    view: &crate::CorpusView<'_>,
-    eco: &Ecosystem,
-    plan: Option<&FaultPlan>,
-    budget: Option<&ErrorBudget>,
-    recorder: &dyn Recorder,
-    parent: SpanCtx,
-) -> CrawlStats {
-    let mut span = recorder.span_at("whois.survey", parent, 0);
-    recorder.preregister(&CRAWL_COUNTERS);
-    let mut crawler = WhoisCrawler::new();
-    crawler.add_server(
-        "open-registrar",
-        ServerPolicy {
-            rate_limit: u32::MAX,
-            blocks_crawlers: false,
-            // Parse success is decided by response content here, not a
-            // second lottery.
-            unparseable_per_mille: 0,
-        },
-    );
-    crawler.add_server("blocking-registrar", ServerPolicy::blocking());
-
-    let covered: std::collections::HashSet<&str> =
-        eco.whois.iter().map(|r| r.domain.as_str()).collect();
-    let mut stats = CrawlStats::default();
-    view.for_each_idn_shard(&mut |records| {
-        let batch: Vec<(&str, String)> = records
-            .iter()
-            .map(|reg| {
-                let domain = reg.domain.as_str();
-                if covered.contains(domain) {
-                    let corrupted = plan.is_some_and(|p| p.corrupts("whois", domain));
-                    if let Some(budget) = budget {
-                        if corrupted {
-                            budget.record_error(1);
-                        } else {
-                            budget.record_ok(1);
-                        }
-                    }
-                    if corrupted {
-                        // A mangled transfer: no parseable field survives.
-                        (
-                            "open-registrar",
-                            "@@ %% corrupted transfer %% @@\n".to_string(),
-                        )
-                    } else {
-                        (
-                            "open-registrar",
-                            format!(
-                                "Domain Name: {domain}\nRegistrar: {}\nName Server: ns1.{domain}\n",
-                                reg.registrar
-                            ),
-                        )
-                    }
-                } else {
-                    // The generator withheld WHOIS here; attribute the gap to
-                    // the paper's two reasons (blocks dominate).
-                    let roll = crate::fnv1a(domain.as_bytes()) % 5;
-                    if roll < 3 {
-                        ("blocking-registrar", format!("Domain Name: {domain}\n"))
-                    } else {
-                        ("open-registrar", "≡≡ unsupported dialect ≡≡\n".to_string())
-                    }
-                }
-            })
-            .collect();
-        let (_, shard_stats) =
-            crawler.crawl_batch_recorded(batch.iter().map(|(s, r)| (*s, r.as_str())), recorder);
-        stats.parsed += shard_stats.parsed;
-        stats.blocked += shard_stats.blocked;
-        stats.parse_failures += shard_stats.parse_failures;
-        stats.no_server += shard_stats.no_server;
-    });
-    let attempted = stats.parsed + stats.blocked + stats.parse_failures + stats.no_server;
-    if attempted > 0 {
-        recorder.add(
-            "whois.coverage.per_mille",
-            stats.parsed as u64 * 1000 / attempted as u64,
-        );
+/// Adds `whois.coverage.per_mille` for a finished WHOIS survey (nothing
+/// when it attempted no domain).
+pub(crate) fn record_whois_coverage(stats: &CrawlStats, recorder: &dyn Recorder) {
+    if let Some(per_mille) = (stats.parsed as u64 * 1000).checked_div(stats.attempted() as u64) {
+        recorder.add("whois.coverage.per_mille", per_mille);
     }
-    span.add_records(attempted as u64);
-    stats
 }
 
 /// The fault-injected counterpart of the plain crawl survey: builds the
@@ -549,10 +452,8 @@ pub fn crawl_survey_faulted_at(
         .chain(&eco.non_idn_registrations)
         .collect();
     for reg in &population {
-        let (behavior, page) = crate::host_model(reg);
-        if let Some(behavior) = behavior {
-            crawler.set_host(&reg.domain, behavior, page);
-        }
+        let (behavior, page) = host_model(reg);
+        crawler.set_host(&reg.domain, behavior, page);
     }
     // Pre-register every counter and the attempts histogram so snapshot
     // ordering cannot depend on which worker thread touches a name first.
@@ -663,10 +564,8 @@ pub fn crawl_survey_scheduled_at(
         .chain(&eco.non_idn_registrations)
         .collect();
     for reg in &population {
-        let (behavior, page) = crate::host_model(reg);
-        if let Some(behavior) = behavior {
-            crawler.set_host(&reg.domain, behavior, page);
-        }
+        let (behavior, page) = host_model(reg);
+        crawler.set_host(&reg.domain, behavior, page);
     }
     recorder.preregister_groups(&[
         &OUTCOME_COUNTERS[..],

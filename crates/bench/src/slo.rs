@@ -26,8 +26,9 @@ pub fn slo_profile(name: &str) -> Option<SloSpec> {
 }
 
 /// Generous bounds a healthy run clears with wide margin: the four
-/// stages every build mode records must exist and finish inside ten
-/// minutes per call, and no pass shard may median above a minute.
+/// stages every plain build records — generation, the fused scan and the
+/// two survey passes on it — must exist and finish inside ten minutes per
+/// call, and no pass shard may median above a minute.
 fn smoke() -> SloSpec {
     const MINUTE: u64 = 60_000_000_000;
     SloSpec::new("smoke")
@@ -42,12 +43,12 @@ fn smoke() -> SloSpec {
                 .max_nanos(10 * MINUTE),
         )
         .rule(
-            SloRule::stage("crawl.survey")
+            SloRule::stage("analyze.pass.crawl")
                 .p50_max_nanos(5 * MINUTE)
                 .max_nanos(10 * MINUTE),
         )
         .rule(
-            SloRule::stage("whois.survey")
+            SloRule::stage("analyze.pass.whois")
                 .p50_max_nanos(5 * MINUTE)
                 .max_nanos(10 * MINUTE),
         )
@@ -70,18 +71,24 @@ mod tests {
     use super::*;
     use idnre_telemetry::{Recorder, Registry, SloStatus};
 
-    fn fast_run_snapshot() -> idnre_telemetry::MetricsSnapshot {
+    const FAST_RUN_STAGES: [&str; 4] = [
+        "build.ecosystem",
+        "analyze.scan",
+        "analyze.pass.crawl",
+        "analyze.pass.whois",
+    ];
+
+    fn snapshot_of(stages: &[&str]) -> idnre_telemetry::MetricsSnapshot {
         let registry = Registry::new();
-        for stage in [
-            "build.ecosystem",
-            "analyze.scan",
-            "crawl.survey",
-            "whois.survey",
-        ] {
+        for stage in stages {
             registry.record_nanos(stage, 1_000_000);
         }
         registry.record_nanos("analyze.pass.homograph", 50_000);
         registry.snapshot()
+    }
+
+    fn fast_run_snapshot() -> idnre_telemetry::MetricsSnapshot {
+        snapshot_of(&FAST_RUN_STAGES)
     }
 
     #[test]
@@ -106,6 +113,23 @@ mod tests {
         let report = smoke().evaluate(&Registry::new().snapshot());
         assert_eq!(report.status, SloStatus::Degraded);
         assert_eq!(report.status.exit_code(), 3);
+        // Each survey pass is required on its own: the `analyze.pass.*`
+        // rule alone would not notice one going missing.
+        for missing in ["analyze.pass.crawl", "analyze.pass.whois"] {
+            let stages: Vec<&str> = FAST_RUN_STAGES
+                .into_iter()
+                .filter(|s| *s != missing)
+                .collect();
+            let report = smoke().evaluate(&snapshot_of(&stages));
+            assert_eq!(report.status, SloStatus::Degraded, "{missing}");
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| v.stage == missing && v.metric == "missing"),
+                "{missing}"
+            );
+        }
     }
 
     #[test]

@@ -98,10 +98,10 @@ impl<'e> Engine<'e> {
         columns: &CorpusColumns,
         cache: &SkeletonCache,
     ) -> Fold {
-        let (homographs, semantic, outputs, _bucket) =
+        let run =
             self.plan(columns, cache)
                 .run_at(source, SHARD, THREADS, &NoopRecorder, SpanCtx::NONE);
-        (homographs, semantic, outputs)
+        (run.homographs, run.semantic, run.outputs)
     }
 }
 

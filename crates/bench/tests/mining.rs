@@ -98,8 +98,10 @@ fn mining_merges_are_associative_at_chunk_97() {
         4,
         &mining_plan,
     );
-    let (_, _, _, index) = plan.run(&source, 1024, 4, &NoopRecorder);
-    let index = index.expect("mined plan returns the bucket index");
+    let index = plan
+        .run(&source, 1024, 4, &NoopRecorder)
+        .bucket_index
+        .expect("mined plan returns the bucket index");
     let buckets: Vec<mine::MineBucket> = index
         .iter()
         .filter(|(_, members)| members.len() > 1)

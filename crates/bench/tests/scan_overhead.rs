@@ -2,8 +2,9 @@
 //! make the fused scan measurably slower. Instrumentation is batched —
 //! one span per (shard, pass), one accumulated merge probe and one finish
 //! probe per pass — so the clock is read O(shards × passes) times, never
-//! per record. This test holds the instrumented scan to ≤ 1.05× the
-//! uninstrumented wall at CI's smoke scale (1:50).
+//! per record. This test holds the instrumented scan — the full plain
+//! roster, both survey passes included — to ≤ 1.05× the uninstrumented
+//! wall at CI's smoke scale (1:50).
 
 use idnre_analyze::SliceSource;
 use idnre_bench::passes;
@@ -47,7 +48,9 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
             passes::table3_wanted(&eco.whois),
             passes::fig6_candidates(eco.brands.top(30)),
             config.threads,
-        );
+        )
+        .with_crawl_survey()
+        .with_whois_survey(passes::WhoisPass::new(&eco.whois, None, None));
         plan.run(&source, 1024, config.threads, recorder)
     };
 

@@ -8,7 +8,7 @@
 use idnre_analyze::{SliceSource, SCAN_SPAN};
 use idnre_bench::{passes, ReproContext};
 use idnre_core::{HomographDetector, SemanticDetector};
-use idnre_datagen::{Ecosystem, EcosystemConfig, PEAK_RESIDENT_RECORDS};
+use idnre_datagen::{Ecosystem, EcosystemConfig, PEAK_RESIDENT_RECORDS, REGENERATED_RECORDS};
 use idnre_telemetry::{NoopRecorder, Registry};
 use std::sync::Arc;
 
@@ -43,9 +43,10 @@ fn streamed_report_is_byte_identical_to_batch() {
     }
 }
 
-/// Every registered pass merges associatively — the property the sharded
-/// fold's correctness rests on. Checked over real corpus partials, not
-/// synthetic ones, with a chunk size coprime to every shard size above.
+/// Every registered pass — the two survey passes included — merges
+/// associatively: the property the sharded fold's correctness rests on.
+/// Checked over real corpus partials, not synthetic ones, with a chunk
+/// size coprime to every shard size above.
 #[test]
 fn every_pass_merge_is_associative() {
     let eco = Ecosystem::generate(&config(4));
@@ -69,7 +70,9 @@ fn every_pass_merge_is_associative() {
         passes::table3_wanted(&eco.whois),
         passes::fig6_candidates(eco.brands.top(30)),
         4,
-    );
+    )
+    .with_crawl_survey()
+    .with_whois_survey(passes::WhoisPass::new(&eco.whois, None, None));
     plan.check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 }
@@ -95,8 +98,8 @@ fn full_report_traverses_the_corpus_once() {
 
 /// The streamed build's resident-set gauge stays proportional to
 /// shard_size × workers, never to the corpus: at most one live shard per
-/// worker per pipelined stage (generation, scan, surveys), with a 4×
-/// allowance for handoff overlap.
+/// worker per pipelined walk (artifacts, columns, the scan that carries
+/// the surveys), with a 4× allowance for handoff overlap.
 #[test]
 fn streamed_peak_residency_is_bounded_by_shard_size() {
     let (threads, shard_size) = (4usize, 64usize);
@@ -119,4 +122,19 @@ fn streamed_peak_residency_is_bounded_by_shard_size() {
     );
     // The bound is meaningful: the corpus is far larger than the cap.
     assert!(ctx.outputs.idn_len + ctx.outputs.non_idn_len > (4 * shard_size * threads) as u64);
+}
+
+/// A streamed build walks its corpus exactly three times: the artifact
+/// walk and the fused scan cover both populations, and the column build
+/// covers the IDN one. The surveys ride the scan, so they add no walk.
+#[test]
+fn streamed_build_regenerates_each_record_once_per_walk() {
+    let registry = Arc::new(Registry::new());
+    let ctx = ReproContext::build_streamed(&config(4), 256, registry.clone());
+    let (idn, non_idn) = (ctx.outputs.idn_len, ctx.outputs.non_idn_len);
+    assert_eq!(
+        registry.counter_value(REGENERATED_RECORDS),
+        3 * idn + 2 * non_idn,
+        "{idn} IDN and {non_idn} non-IDN records"
+    );
 }

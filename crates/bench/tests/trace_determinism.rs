@@ -81,7 +81,8 @@ proptest! {
 
 /// The tree has the documented shape: pipeline phases under the run root,
 /// one group per registered pass under `analyze.scan` with one child span
-/// per shard, and generation sub-stages under `build.ecosystem`.
+/// per shard — the two survey passes included — and generation sub-stages
+/// under `build.ecosystem`.
 #[test]
 fn trace_tree_has_the_documented_shape() {
     let registry = Arc::new(Registry::with_trace());
@@ -97,25 +98,27 @@ fn trace_tree_has_the_documented_shape() {
     let snapshot = registry.trace_snapshot().expect("tracing registry");
     let root = &snapshot.root;
     assert_eq!(root.name, "run");
-    for phase in [
-        "build.ecosystem",
-        "analyze.scan",
-        "crawl.survey",
-        "whois.survey",
-    ] {
+    for phase in ["build.ecosystem", "analyze.columns", "analyze.scan"] {
         assert!(
             root.child(phase).is_some(),
             "missing top-level span {phase}"
         );
+    }
+    // The surveys ride the scan; they are no top-level phase of their own.
+    for gone in ["crawl.survey", "whois.survey"] {
+        assert!(root.child(gone).is_none(), "stray top-level span {gone}");
     }
     let build = root.child("build.ecosystem").unwrap();
     assert!(build.child("datagen.stream.plan").is_some());
     assert!(build.child("datagen.stream.artifacts").is_some());
 
     let scan = root.child("analyze.scan").unwrap();
-    // 3 detector passes + 6 report aggregation passes, each a group whose
-    // children are the per-shard spans.
-    assert_eq!(scan.children.len(), 9, "pass groups under analyze.scan");
+    // 3 detector passes + 6 report aggregation passes + the crawl and
+    // WHOIS surveys, each a group whose children are the per-shard spans.
+    assert_eq!(scan.children.len(), 11, "pass groups under analyze.scan");
+    for survey in ["analyze.pass.crawl", "analyze.pass.whois"] {
+        assert!(scan.child(survey).is_some(), "missing pass group {survey}");
+    }
     // Shards are carved per population (IDN first, then non-IDN).
     let expected_shards =
         (ctx.outputs.idn_len.div_ceil(1024) + ctx.outputs.non_idn_len.div_ceil(1024)) as usize;
@@ -140,6 +143,7 @@ fn trace_tree_has_the_documented_shape() {
             .map(|s| s.name.clone())
             .collect::<Vec<_>>(),
     );
-    assert_eq!(passes.len(), 9);
+    assert_eq!(passes.len(), 11);
     assert_eq!(passes[0], "analyze.pass.homograph");
+    assert_eq!(passes[9..], ["analyze.pass.crawl", "analyze.pass.whois"]);
 }

@@ -27,6 +27,22 @@ pub enum AuthBehavior {
     Lame,
 }
 
+impl AuthBehavior {
+    /// The terminal outcome an A query for a delegated name reaches when
+    /// its authoritative server behaves like this. The one place the
+    /// behaviour→outcome mapping lives: [`Resolver::resolve`] applies it
+    /// after its delegation and behaviour-table lookups, and
+    /// [`crate::crawl_host`] applies it to a record-derived host model.
+    pub fn outcome(self) -> ResolutionOutcome {
+        match self {
+            AuthBehavior::Answer(ip) => ResolutionOutcome::Resolved(ip),
+            AuthBehavior::Refuse => ResolutionOutcome::Refused,
+            AuthBehavior::ServFail => ResolutionOutcome::ServFail,
+            AuthBehavior::Timeout | AuthBehavior::Lame => ResolutionOutcome::Timeout,
+        }
+    }
+}
+
 /// Terminal outcome of resolving one name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -134,14 +150,11 @@ impl Resolver {
         if !self.delegated.contains(&key) {
             return ResolutionOutcome::NxDomain;
         }
-        match self.behaviors.get(&key) {
-            Some(AuthBehavior::Answer(ip)) => ResolutionOutcome::Resolved(*ip),
-            Some(AuthBehavior::Refuse) => ResolutionOutcome::Refused,
-            Some(AuthBehavior::ServFail) => ResolutionOutcome::ServFail,
-            Some(AuthBehavior::Timeout) | Some(AuthBehavior::Lame) | None => {
-                ResolutionOutcome::Timeout
-            }
-        }
+        self.behaviors
+            .get(&key)
+            .copied()
+            .unwrap_or(AuthBehavior::Lame)
+            .outcome()
     }
 }
 

@@ -12,6 +12,9 @@
 //! * [`Page`] / [`fetch`] — the HTTP layer: status, title and page kind.
 //! * [`classify`] — the resolution+fetch outcome folded into the Table V
 //!   [`UsageCategory`].
+//! * [`crawl_host`] — the same resolve→fetch→classify chain for one host
+//!   given its model directly, with no per-domain tables: what a survey
+//!   that derives each host from its own record calls.
 //!
 //! # Examples
 //!
@@ -103,6 +106,19 @@ pub(crate) fn usage_counter(category: UsageCategory) -> &'static str {
         UsageCategory::Redirected => USAGE_COUNTERS[5],
         UsageCategory::Meaningful => USAGE_COUNTERS[6],
     }
+}
+
+/// Crawls one modelled host without any per-domain state: a host with an
+/// authoritative-server model is delegated, so resolution is
+/// [`AuthBehavior::outcome`], then the fetch and the Table V
+/// classification run as in [`Crawler::crawl`]. Equal to a [`Crawler`]
+/// that was given the same host with [`Crawler::set_host`].
+pub fn crawl_host(
+    behavior: AuthBehavior,
+    page: Option<&Page>,
+) -> (ResolutionOutcome, UsageCategory) {
+    let resolution = behavior.outcome();
+    (resolution, classify(&fetch(&resolution, page)))
 }
 
 /// The whole crawl pipeline: resolver plus the web content behind each
@@ -233,6 +249,43 @@ mod tests {
         let resolve = registry.stage("crawler.resolve");
         assert_eq!(resolve.calls(), 3);
         assert_eq!(resolve.histogram().count(), 3);
+    }
+
+    #[test]
+    fn table_free_crawl_equals_the_table_driven_crawler() {
+        let ip = "203.0.113.9".parse().unwrap();
+        let behaviors = [
+            AuthBehavior::Answer(ip),
+            AuthBehavior::Refuse,
+            AuthBehavior::ServFail,
+            AuthBehavior::Timeout,
+            AuthBehavior::Lame,
+        ];
+        let pages = [
+            None,
+            Some(Page::new(200, "", PageKind::Empty)),
+            Some(Page::new(200, "Parked", PageKind::Parking)),
+            Some(Page::new(200, "For sale", PageKind::ForSale)),
+            Some(Page::new(
+                200,
+                "Moved",
+                PageKind::Redirect("https://elsewhere.example/".to_string()),
+            )),
+            Some(Page::new(200, "Site", PageKind::Content)),
+            Some(Page::new(404, "Not found", PageKind::Content)),
+            Some(Page::new(503, "Unavailable", PageKind::Content)),
+        ];
+        for behavior in behaviors {
+            for page in &pages {
+                let mut crawler = Crawler::new();
+                crawler.set_host("host.com", behavior, page.clone());
+                assert_eq!(
+                    crawl_host(behavior, page.as_ref()),
+                    (crawler.resolve("host.com"), crawler.crawl("host.com")),
+                    "{behavior:?} with {page:?}"
+                );
+            }
+        }
     }
 
     #[test]

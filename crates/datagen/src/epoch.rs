@@ -202,7 +202,8 @@ impl<'a> EpochCorpus<'a> {
     /// the base span on demand, skips removal holes, applies patches,
     /// splices the append tail — then calls `f` once with the surviving
     /// records and their stable global indices (parallel slices).
-    /// Residency is tracked on the base corpus's gauge.
+    /// Residency and regenerated base records are tracked on the base
+    /// corpus.
     pub fn with_idn_shard_indexed(
         &self,
         start: u64,
@@ -214,11 +215,13 @@ impl<'a> EpochCorpus<'a> {
         let end = start.saturating_add(len as u64).min(self.idn_index_space());
         let mut records = Vec::with_capacity(len);
         let mut indices = Vec::with_capacity(len);
+        let mut regenerated = 0u64;
         for i in start..end {
             if self.removed.contains(&i) {
                 continue;
             }
             let mut reg = if i < base_len {
+                regenerated += 1;
                 self.base.regen_idn(i)
             } else {
                 self.appended[(i - base_len) as usize].clone()
@@ -229,6 +232,7 @@ impl<'a> EpochCorpus<'a> {
             records.push(reg);
             indices.push(i);
         }
+        self.base.note_regenerated(regenerated);
         f(&records, &indices);
         drop(records);
         self.base.gauge().sub(len as u64);

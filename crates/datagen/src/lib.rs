@@ -57,4 +57,7 @@ pub use ecosystem::Ecosystem;
 pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};
 pub use hosting::HostingProfile;
 pub use registration::{DomainRegistration, MaliciousKind};
-pub use stream::{generate_streamed, generate_streamed_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS};
+pub use stream::{
+    generate_streamed, generate_streamed_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS,
+    REGENERATED_RECORDS,
+};

@@ -29,6 +29,7 @@ pub const CRAWL_COUNTERS: [&str; 5] = [
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerPolicy {
     /// Queries allowed per crawl window; further queries are refused.
+    /// `u32::MAX` means unlimited.
     pub rate_limit: u32,
     /// Whether the registrar blocks bulk crawlers outright.
     pub blocks_crawlers: bool,
@@ -74,6 +75,14 @@ impl ServerPolicy {
             unparseable_per_mille: 0,
         }
     }
+
+    /// Whether a crawl quota can refuse a query: the endpoint serves
+    /// crawlers at all and its rate limit is not unlimited. Only such
+    /// endpoints make [`WhoisCrawler::crawl`] count queries, and so depend
+    /// on the queries before it.
+    pub fn is_rate_limited(&self) -> bool {
+        !self.blocks_crawlers && self.rate_limit != u32::MAX
+    }
 }
 
 /// Why one domain's WHOIS was not obtained.
@@ -102,9 +111,14 @@ pub struct CrawlStats {
 }
 
 impl CrawlStats {
+    /// Domains attempted: each lands in exactly one outcome.
+    pub fn attempted(&self) -> usize {
+        self.parsed + self.blocked + self.parse_failures + self.no_server
+    }
+
     /// Coverage rate over all attempted domains.
     pub fn coverage(&self) -> f64 {
-        let total = self.parsed + self.blocked + self.parse_failures + self.no_server;
+        let total = self.attempted();
         if total == 0 {
             0.0
         } else {
@@ -131,8 +145,18 @@ impl WhoisCrawler {
         self.servers.insert(registrar.to_string(), policy);
     }
 
+    /// Whether any registered endpoint has a quota that can bite (see
+    /// [`ServerPolicy::is_rate_limited`]). Without one,
+    /// [`WhoisCrawler::crawl`] equals [`WhoisCrawler::crawl_unmetered`],
+    /// so a crawl may be split across threads in any order.
+    pub fn is_rate_limited(&self) -> bool {
+        self.servers.values().any(ServerPolicy::is_rate_limited)
+    }
+
     /// Crawls one domain through its registrar, given the raw response the
     /// server would serve. Returns the parsed record or the failure reason.
+    /// This is the rate-limit bookkeeping of the registrar's quota around
+    /// [`WhoisCrawler::crawl_unmetered`].
     ///
     /// # Errors
     ///
@@ -142,15 +166,34 @@ impl WhoisCrawler {
         registrar: &str,
         raw_response: &str,
     ) -> Result<WhoisRecord, CrawlFailure> {
-        let policy = *self.servers.get(registrar).ok_or(CrawlFailure::NoServer)?;
+        if let Some(policy) = self.servers.get(registrar) {
+            if policy.is_rate_limited() {
+                let used = self.served.entry(registrar.to_string()).or_insert(0);
+                if *used >= policy.rate_limit {
+                    return Err(CrawlFailure::Blocked);
+                }
+                *used += 1;
+            }
+        }
+        self.crawl_unmetered(registrar, raw_response)
+    }
+
+    /// The stateless half of [`WhoisCrawler::crawl`]: the registrar's
+    /// policy lookup, its crawler block, the parse lottery and the parse,
+    /// without counting the query against any rate limit.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CrawlFailure`] naming why coverage was lost.
+    pub fn crawl_unmetered(
+        &self,
+        registrar: &str,
+        raw_response: &str,
+    ) -> Result<WhoisRecord, CrawlFailure> {
+        let policy = self.servers.get(registrar).ok_or(CrawlFailure::NoServer)?;
         if policy.blocks_crawlers {
             return Err(CrawlFailure::Blocked);
         }
-        let used = self.served.entry(registrar.to_string()).or_insert(0);
-        if *used >= policy.rate_limit {
-            return Err(CrawlFailure::Blocked);
-        }
-        *used += 1;
         // Deterministic "parse lottery" per response content: a stable hash
         // decides whether this response falls in the unparseable share.
         let roll = raw_response
@@ -264,6 +307,24 @@ mod tests {
             crawler.crawl("Limited", &raw("c.com")),
             Err(CrawlFailure::Blocked)
         );
+    }
+
+    #[test]
+    fn unmetered_crawl_equals_crawl_without_quotas() {
+        let mut crawler = WhoisCrawler::new();
+        crawler.add_server("Open Inc.", ServerPolicy::open());
+        crawler.add_server("Fortress LLC", ServerPolicy::blocking());
+        crawler.add_server("iTLD Registry", ServerPolicy::exotic_dialect());
+        assert!(!crawler.is_rate_limited());
+        for i in 0..200 {
+            let raw = raw(&format!("d{i}.com"));
+            for registrar in ["Open Inc.", "Fortress LLC", "iTLD Registry", "Ghost"] {
+                let unmetered = crawler.crawl_unmetered(registrar, &raw);
+                assert_eq!(crawler.crawl(registrar, &raw), unmetered, "{registrar} {i}");
+            }
+        }
+        crawler.add_server("Limited", ServerPolicy::rate_limited(2));
+        assert!(crawler.is_rate_limited());
     }
 
     #[test]
