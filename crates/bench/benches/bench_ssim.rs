@@ -25,6 +25,23 @@ fn bench_metrics(c: &mut Criterion) {
     });
 }
 
+/// The two regimes of the SSIM kernel. A one-cell substitution leaves most
+/// 8×8 windows pixel-identical (42 of 45 here), and those score 1.0 without
+/// arithmetic; unrelated strings of equal width leave nearly every window
+/// (43 of 45) to compute.
+fn bench_kernel_regimes(c: &mut Criterion) {
+    let brand = render_text("facebook");
+    let spoof = render_text("fäcebook"); // one marked cell
+    let unrelated = render_text("whatsapp");
+    assert_eq!(brand.width(), unrelated.width());
+    c.bench_function("ssim_one_substitution", |b| {
+        b.iter(|| ssim(black_box(&brand), black_box(&spoof)).unwrap())
+    });
+    c.bench_function("ssim_all_dirty", |b| {
+        b.iter(|| ssim(black_box(&brand), black_box(&unrelated)).unwrap())
+    });
+}
+
 /// The Table XII ladder end-to-end (render + compare), per probe class.
 fn bench_ladder(c: &mut Criterion) {
     let mut group = c.benchmark_group("ssim_ladder");
@@ -76,6 +93,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_render, bench_metrics, bench_ladder, bench_metric_ablation
+    targets = bench_render, bench_metrics, bench_kernel_regimes, bench_ladder, bench_metric_ablation
 }
 criterion_main!(benches);

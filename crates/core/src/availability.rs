@@ -65,10 +65,10 @@ impl AvailabilityEnumerator {
         let tld = brand.split('.').nth(1).unwrap_or("com");
         let brand_image = render_text(sld);
         let chars: Vec<char> = sld.chars().collect();
+        let mut spoofed = chars.clone();
         let mut out = Vec::new();
         for (pos, &c) in chars.iter().enumerate() {
             for glyph in homoglyphs_of(c) {
-                let mut spoofed = chars.clone();
                 spoofed[pos] = glyph.ch;
                 let unicode_sld: String = spoofed.iter().collect();
                 let unicode = format!("{unicode_sld}.{tld}");
@@ -89,6 +89,7 @@ impl AvailabilityEnumerator {
                     ssim: score,
                 });
             }
+            spoofed[pos] = c;
         }
         out
     }
@@ -103,15 +104,18 @@ impl AvailabilityEnumerator {
         let tld = brand.split('.').nth(1).unwrap_or("com");
         let brand_image = render_text(sld);
         let chars: Vec<char> = sld.chars().collect();
+        let glyphs: Vec<_> = chars.iter().map(|&c| homoglyphs_of(c)).collect();
+        // One buffer for every candidate: positions i and j are overwritten
+        // per candidate and restored once their loops finish.
+        let mut spoofed = chars.clone();
         let mut out = Vec::new();
         'outer: for i in 0..chars.len() {
             for j in (i + 1)..chars.len() {
-                for glyph_i in homoglyphs_of(chars[i]) {
-                    for glyph_j in homoglyphs_of(chars[j]) {
+                for glyph_i in &glyphs[i] {
+                    for glyph_j in &glyphs[j] {
                         if out.len() >= cap {
                             break 'outer;
                         }
-                        let mut spoofed = chars.clone();
                         spoofed[i] = glyph_i.ch;
                         spoofed[j] = glyph_j.ch;
                         let unicode_sld: String = spoofed.iter().collect();
@@ -131,7 +135,9 @@ impl AvailabilityEnumerator {
                         });
                     }
                 }
+                spoofed[j] = chars[j];
             }
+            spoofed[i] = chars[i];
         }
         out
     }

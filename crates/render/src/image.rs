@@ -76,17 +76,19 @@ impl GrayImage {
     /// Extends the image to `width` pixels, padding new columns with
     /// background. No-op if the image is already at least that wide.
     pub fn pad_to_width(&mut self, width: usize) {
-        if width <= self.width {
-            return;
+        if width > self.width {
+            *self = self.padded(width, self.height);
         }
-        let mut data = vec![0.0; width * self.height];
-        for y in 0..self.height {
-            let src = y * self.width;
-            let dst = y * width;
-            data[dst..dst + self.width].copy_from_slice(&self.data[src..src + self.width]);
+    }
+
+    /// A copy on a `width × height` canvas (at least the current size),
+    /// the new pixels background.
+    pub(crate) fn padded(&self, width: usize, height: usize) -> GrayImage {
+        let mut out = GrayImage::new(width, height);
+        for (y, src) in self.data.chunks_exact(self.width).enumerate() {
+            out.data[y * width..][..self.width].copy_from_slice(src);
         }
-        self.width = width;
-        self.data = data;
+        out
     }
 
     /// Total ink (sum of pixel values) — a cheap pre-filter signal.

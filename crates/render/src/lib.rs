@@ -88,6 +88,9 @@ pub fn render_skeleton(text: &str) -> GrayImage {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
