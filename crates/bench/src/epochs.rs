@@ -215,7 +215,7 @@ pub fn run_epochs(
     let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
     let detector = HomographDetector::new(&brand_domains, 0.95);
     let semantic_detector = SemanticDetector::new(&brand_domains);
-    let table3_wanted = passes::table3_wanted(&eco.whois);
+    let table3_wanted = passes::table3_domains(&eco.whois_summary);
     let fig6_candidates = passes::fig6_candidates(eco.brands.top(30));
 
     // Columns and skeletons are built once over the base corpus and then

@@ -437,7 +437,7 @@ fn run_scan(
             &semantic_detector,
             &columns,
             &eco.pdns,
-            passes::table3_wanted(&eco.whois),
+            passes::table3_domains(&eco.whois_summary),
             passes::fig6_candidates(eco.brands.top(30)),
             threads,
             mining_plan,
@@ -447,7 +447,7 @@ fn run_scan(
             &semantic_detector,
             &columns,
             &eco.pdns,
-            passes::table3_wanted(&eco.whois),
+            passes::table3_domains(&eco.whois_summary),
             passes::fig6_candidates(eco.brands.top(30)),
             threads,
         ),

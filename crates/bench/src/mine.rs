@@ -41,6 +41,7 @@ use idnre_pdns::PdnsStore;
 use idnre_render::{render_text, GrayImage};
 use idnre_telemetry::{Recorder, SpanCtx};
 use idnre_unicode::skeleton;
+use idnre_whois::analytics::WhoisLookup;
 use std::collections::HashMap;
 
 /// Ledger stage of the bucket-index fold (pass A).
@@ -357,25 +358,28 @@ pub struct PortfolioMember {
 pub struct PairMinePass<'a> {
     columns: &'a CorpusColumns,
     plan: &'a MiningPlan,
-    /// `ACE domain → registrant email` for the portfolio join.
-    registrants: HashMap<String, String>,
+    /// The WHOIS side of the portfolio join.
+    whois: WhoisLookup<'a>,
     pdns: &'a PdnsStore,
     threshold: f64,
 }
 
+/// The registrant email the portfolio join reports for `domain`: that of
+/// the last WHOIS record of the domain that has one.
+fn registrant_of(whois: WhoisLookup<'_>, domain: &str) -> Option<String> {
+    whois
+        .records_of(domain)
+        .rev()
+        .find_map(|record| record.registrant_email.clone())
+}
+
 impl<'a> PairMinePass<'a> {
-    /// Builds the pass with its WHOIS join table.
+    /// Builds the pass over `eco`'s WHOIS and pDNS artifacts.
     pub fn new(columns: &'a CorpusColumns, plan: &'a MiningPlan, eco: &'a Ecosystem) -> Self {
-        let mut registrants = HashMap::new();
-        for record in &eco.whois {
-            if let Some(email) = &record.registrant_email {
-                registrants.insert(record.domain.clone(), email.clone());
-            }
-        }
         PairMinePass {
             columns,
             plan,
-            registrants,
+            whois: eco.whois_lookup(),
             pdns: &eco.pdns,
             threshold: MINE_THRESHOLD,
         }
@@ -389,7 +393,7 @@ impl<'a> PairMinePass<'a> {
             None => (0, 0),
         };
         PortfolioMember {
-            registrant: self.registrants.get(&domain).cloned(),
+            registrant: registrant_of(self.whois, &domain),
             domain,
             unicode,
             query_count,
@@ -698,4 +702,41 @@ pub fn render_mining(m: &MiningOutputs) -> String {
          (Section VI-B); this is the registrant/activity join over \
          all-zone confusable portfolios it left on the table.\n\n{body}\n"
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use idnre_whois::analytics::RegistrationAnalytics;
+    use idnre_whois::{WhoisDialect, WhoisRecord};
+
+    fn record(domain: &str, email: Option<&str>) -> WhoisRecord {
+        let mut r = WhoisRecord::new(domain, WhoisDialect::KeyValue);
+        r.registrant_email = email.map(str::to_string);
+        r
+    }
+
+    #[test]
+    fn join_keeps_the_last_registrant_email_of_a_domain() {
+        let whois = [
+            record("xn--dup.com", Some("first@qq.com")),
+            record("xn--one.com", Some("one@qq.com")),
+            record("xn--dup.com", Some("second@qq.com")),
+            // A later duplicate without an email does not erase one.
+            record("xn--dup.com", None),
+            record("xn--bare.com", None),
+        ];
+        let summary = RegistrationAnalytics::of_corpus(&whois, |_| false, 1);
+        let lookup = summary.lookup(&whois);
+        assert_eq!(
+            registrant_of(lookup, "xn--dup.com").as_deref(),
+            Some("second@qq.com")
+        );
+        assert_eq!(
+            registrant_of(lookup, "xn--one.com").as_deref(),
+            Some("one@qq.com")
+        );
+        assert_eq!(registrant_of(lookup, "xn--bare.com"), None);
+        assert_eq!(registrant_of(lookup, "xn--none.com"), None);
+    }
 }

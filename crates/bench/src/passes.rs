@@ -796,13 +796,18 @@ impl AnalysisPass for WhoisPass<'_> {
 /// The domains whose unicode form Table III renders: every domain held by
 /// one of the top-5 registrant emails in the WHOIS corpus.
 pub fn table3_wanted(whois: &[WhoisRecord]) -> HashSet<String> {
-    let mut analytics = RegistrationAnalytics::new();
-    analytics.extend(whois.iter());
-    let mut wanted = HashSet::new();
-    for (email, _) in analytics.top_registrants(5) {
-        wanted.extend(analytics.domains_of(&email).iter().cloned());
-    }
-    wanted
+    let summary = RegistrationAnalytics::of_corpus(whois, |_| false, idnre_par::default_threads());
+    table3_domains(&summary)
+}
+
+/// [`table3_wanted`] read from an already folded corpus aggregate, such as
+/// `Ecosystem::whois_summary`.
+pub fn table3_domains(summary: &RegistrationAnalytics) -> HashSet<String> {
+    summary
+        .top_portfolios()
+        .iter()
+        .flat_map(|portfolio| portfolio.domains.iter().cloned())
+        .collect()
 }
 
 /// Figure 6's candidate pool: every one-character homographic lookalike of

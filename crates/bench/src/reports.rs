@@ -8,8 +8,7 @@ use idnre_langid::Language;
 use idnre_pdns::{ActivityAnalytics, PopulationClass, TrafficModel};
 use idnre_stats::plot::{bar_chart, ecdf_plot, Series};
 use idnre_stats::table::{Align, Table};
-use idnre_stats::{group_thousands, percent};
-use idnre_whois::analytics::RegistrationAnalytics;
+use idnre_stats::{group_thousands, percent, YearHistogram};
 
 /// A table/figure generator.
 pub type Generator = fn(&ReproContext) -> String;
@@ -80,23 +79,16 @@ pub fn table1(ctx: &ReproContext) -> String {
         ],
     );
     // The per-TLD IDN and blacklist tallies come pre-folded from the fused
-    // corpus scan ([`crate::passes::TldPass`]); only the WHOIS split — an
-    // artifact table, not the registration corpus — is tallied here. A
-    // WHOIS record counts only when its TLD appears in the IDN corpus,
-    // matching the batch pre-pass's keying.
+    // corpus scan ([`crate::passes::TldPass`]), the WHOIS split from the
+    // ecosystem's WHOIS aggregate. A WHOIS record counts only when its TLD
+    // appears in the IDN corpus, matching the batch pre-pass's keying.
     let folded = &ctx.outputs.tld;
-    let mut whois_by_tld: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    for record in &eco.whois {
-        if let Some(tld) = record.domain.rsplit('.').next() {
-            *whois_by_tld.entry(tld).or_default() += 1;
-        }
-    }
     let mut totals = [0u64; 7];
     for spec in &idnre_datagen::TABLE_I {
         let tld = spec.tld;
         let idns = folded.idns.get(tld);
         let whois = if idns > 0 {
-            whois_by_tld.get(tld).copied().unwrap_or(0)
+            eco.whois_summary.records_in_tld(tld)
         } else {
             0
         };
@@ -204,16 +196,9 @@ pub fn table2(ctx: &ReproContext) -> String {
 
 /// Figure 1 — creation dates of IDNs, malicious shown separately.
 pub fn fig1(ctx: &ReproContext) -> String {
-    let mut all = idnre_stats::YearHistogram::new();
-    let mut malicious = idnre_stats::YearHistogram::new();
-    for record in &ctx.eco.whois {
-        if let Some(date) = record.creation_date {
-            all.record(date.year);
-            if ctx.eco.blacklist.is_malicious(&record.domain) {
-                malicious.record(date.year);
-            }
-        }
-    }
+    let summary = &ctx.eco.whois_summary;
+    let all: YearHistogram = summary.creation_timeline().into_iter().collect();
+    let malicious: YearHistogram = summary.flagged_creation_timeline().into_iter().collect();
     let bars_all: Vec<(String, u64)> = all.iter().map(|(y, c)| (y.to_string(), c)).collect();
     let bars_bad: Vec<(String, u64)> = malicious.iter().map(|(y, c)| (y.to_string(), c)).collect();
     let ten_years_ago = ctx.eco.config.snapshot.year - 10;
@@ -237,17 +222,11 @@ pub fn fig1(ctx: &ReproContext) -> String {
     )
 }
 
-fn registration_analytics(ctx: &ReproContext) -> RegistrationAnalytics {
-    let mut analytics = RegistrationAnalytics::new();
-    analytics.extend(ctx.eco.whois.iter());
-    analytics
-}
-
 /// Table III — top-5 registrant emails (opportunistic clusters) with the
 /// portfolio topic the paper assigned manually, here derived by the topic
 /// classifier.
 pub fn table3(ctx: &ReproContext) -> String {
-    let analytics = registration_analytics(ctx);
+    let summary = &ctx.eco.whois_summary;
     // The fused scan collected punycode→unicode for exactly the top
     // registrants' portfolios ([`crate::passes::Table3UnicodePass`]).
     let unicode_of = &ctx.outputs.table3_unicode;
@@ -255,17 +234,20 @@ pub fn table3(ctx: &ReproContext) -> String {
         vec!["Email Account", "# IDN", "IDN Characteristics"],
         vec![Align::Left, Align::Right, Align::Left],
     );
-    for (email, count) in analytics.top_registrants(5) {
-        let labels: Vec<&str> = analytics
-            .domains_of(&email)
+    for portfolio in summary.top_portfolios() {
+        let labels = portfolio
+            .domains
             .iter()
             .filter_map(|d| unicode_of.get(d.as_str()))
-            .filter_map(|u| u.split('.').next())
-            .collect();
-        let topic = idnre_core::topic::classify_portfolio(labels.iter().copied());
-        table.row(vec![email, group_thousands(count), topic.to_string()]);
+            .filter_map(|u| u.split('.').next());
+        let topic = idnre_core::topic::classify_portfolio(labels);
+        table.row(vec![
+            portfolio.email.clone(),
+            group_thousands(portfolio.domains.len() as u64),
+            topic.to_string(),
+        ]);
     }
-    let mass = analytics.opportunistic_mass(10);
+    let mass = summary.opportunistic_mass(10);
     section(
         "Table III — Top 5 IDN registrants",
         "Bulk registrants (776053229@qq.com 1,562; daidesheng88@gmail.com 1,453; …) hold 29,318 (4%) opportunistic IDNs (Finding 3).",
@@ -279,7 +261,7 @@ pub fn table3(ctx: &ReproContext) -> String {
 
 /// Table IV — top-10 registrars.
 pub fn table4(ctx: &ReproContext) -> String {
-    let analytics = registration_analytics(ctx);
+    let analytics = &ctx.eco.whois_summary;
     let mut table = Table::new(
         vec!["Registrar", "# IDN", "Rate"],
         vec![Align::Left, Align::Right, Align::Right],
@@ -696,7 +678,7 @@ pub fn table12(_ctx: &ReproContext) -> String {
 /// Table XIII — top brands by registered homographic IDNs.
 pub fn table13(ctx: &ReproContext) -> String {
     let analysis =
-        AbuseAnalysis::from_homographs(&ctx.homographs, &ctx.eco.whois, &ctx.eco.blacklist);
+        AbuseAnalysis::from_homographs(&ctx.homographs, ctx.eco.whois_lookup(), &ctx.eco.blacklist);
     let mut table = Table::new(
         vec!["Domain", "# IDN", "Rate", "Protective"],
         vec![Align::Left, Align::Right, Align::Right, Align::Right],
@@ -856,7 +838,8 @@ pub fn fig7(ctx: &ReproContext) -> String {
 
 /// Table XIV — top brands by Type-1 semantic IDNs.
 pub fn table14(ctx: &ReproContext) -> String {
-    let analysis = AbuseAnalysis::from_semantic(&ctx.semantic, &ctx.eco.whois, &ctx.eco.blacklist);
+    let analysis =
+        AbuseAnalysis::from_semantic(&ctx.semantic, ctx.eco.whois_lookup(), &ctx.eco.blacklist);
     let mut table = Table::new(
         vec!["Domain", "# Type-1 IDN", "Rate", "Protective"],
         vec![Align::Left, Align::Right, Align::Right, Align::Right],

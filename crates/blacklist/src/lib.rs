@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -75,16 +76,16 @@ impl BlacklistSet {
 
     /// Whether any source flags `domain` — the paper's union semantics.
     pub fn is_malicious(&self, domain: &str) -> bool {
-        let key = domain.to_ascii_lowercase();
-        self.by_source.values().any(|set| set.contains(&key))
+        let key = lookup_key(domain);
+        self.by_source.values().any(|set| set.contains(&*key))
     }
 
     /// The sources flagging `domain`, in provider order.
     pub fn verdict(&self, domain: &str) -> Vec<Source> {
-        let key = domain.to_ascii_lowercase();
+        let key = lookup_key(domain);
         Source::ALL
             .into_iter()
-            .filter(|s| self.by_source.get(s).is_some_and(|set| set.contains(&key)))
+            .filter(|s| self.by_source.get(s).is_some_and(|set| set.contains(&*key)))
             .collect()
     }
 
@@ -116,6 +117,16 @@ impl BlacklistSet {
             *out.entry(tld).or_insert(0) += 1;
         }
         out
+    }
+}
+
+/// The stored (lowercase) form of `domain`, borrowed when it already is
+/// lowercase — as every ACE domain the generator emits is.
+fn lookup_key(domain: &str) -> Cow<'_, str> {
+    if domain.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(domain.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(domain)
     }
 }
 
@@ -161,6 +172,21 @@ mod tests {
             vec![Source::VirusTotal, Source::Qihoo360]
         );
         assert_eq!(set.verdict("clean.com"), vec![]);
+    }
+
+    #[test]
+    fn mixed_case_queries_still_hit() {
+        let set = sample();
+        for query in ["Xn--B.com", "XN--B.COM", "xn--B.Com"] {
+            assert!(set.is_malicious(query), "{query}");
+            assert_eq!(
+                set.verdict(query),
+                vec![Source::VirusTotal, Source::Qihoo360],
+                "{query}"
+            );
+        }
+        assert_eq!(set.verdict("XN--D.XN--FIQS8S"), vec![Source::Baidu]);
+        assert!(!set.is_malicious("Clean.com"));
     }
 
     #[test]

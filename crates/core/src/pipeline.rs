@@ -4,6 +4,7 @@
 use crate::homograph::HomographFinding;
 use crate::semantic::SemanticFinding;
 use idnre_blacklist::BlacklistSet;
+use idnre_whois::analytics::WhoisLookup;
 use idnre_whois::WhoisRecord;
 use std::collections::HashMap;
 
@@ -33,7 +34,7 @@ impl AbuseAnalysis {
     /// Analyzes homograph findings.
     pub fn from_homographs(
         findings: &[HomographFinding],
-        whois: &[WhoisRecord],
+        whois: WhoisLookup<'_>,
         blacklist: &BlacklistSet,
     ) -> Self {
         Self::build(
@@ -48,7 +49,7 @@ impl AbuseAnalysis {
     /// Analyzes semantic findings.
     pub fn from_semantic(
         findings: &[SemanticFinding],
-        whois: &[WhoisRecord],
+        whois: WhoisLookup<'_>,
         blacklist: &BlacklistSet,
     ) -> Self {
         Self::build(
@@ -60,12 +61,10 @@ impl AbuseAnalysis {
         )
     }
 
-    fn build<'a, I>(findings: I, whois: &[WhoisRecord], blacklist: &BlacklistSet) -> Self
+    fn build<'a, I>(findings: I, whois: WhoisLookup<'_>, blacklist: &BlacklistSet) -> Self
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
-        let whois_by_domain: HashMap<&str, &WhoisRecord> =
-            whois.iter().map(|r| (r.domain.as_str(), r)).collect();
         let mut per_brand: HashMap<String, BrandAbuseRow> = HashMap::new();
         let (mut total, mut blacklisted, mut protective_total) = (0u64, 0u64, 0u64);
         let (mut personal, mut with_whois) = (0u64, 0u64);
@@ -74,7 +73,7 @@ impl AbuseAnalysis {
             if blacklist.is_malicious(domain) {
                 blacklisted += 1;
             }
-            let record = whois_by_domain.get(domain);
+            let record = whois.get(domain);
             let protective = record
                 .map(|r| Self::is_protective(r, brand))
                 .unwrap_or(false);
@@ -162,6 +161,7 @@ impl AbuseAnalysis {
 mod tests {
     use super::*;
     use idnre_blacklist::Source;
+    use idnre_whois::analytics::RegistrationAnalytics;
     use idnre_whois::WhoisDialect;
 
     fn finding(domain: &str, brand: &str) -> HomographFinding {
@@ -193,7 +193,9 @@ mod tests {
         let mut blacklist = BlacklistSet::new();
         blacklist.insert(Source::VirusTotal, "xn--b1.com");
 
-        let analysis = AbuseAnalysis::from_homographs(&findings, &whois, &blacklist);
+        let summary = RegistrationAnalytics::of_corpus(&whois, |_| false, 1);
+        let analysis =
+            AbuseAnalysis::from_homographs(&findings, summary.lookup(&whois), &blacklist);
         assert_eq!(analysis.total(), 3);
         assert_eq!(analysis.blacklisted(), 1);
         assert_eq!(analysis.protective(), 1);
@@ -210,7 +212,8 @@ mod tests {
     #[test]
     fn missing_whois_is_not_protective() {
         let findings = vec![finding("xn--x.com", "google.com")];
-        let analysis = AbuseAnalysis::from_homographs(&findings, &[], &BlacklistSet::new());
+        let analysis =
+            AbuseAnalysis::from_homographs(&findings, WhoisLookup::default(), &BlacklistSet::new());
         assert_eq!(analysis.protective(), 0);
         assert_eq!(analysis.with_whois(), 0);
     }
@@ -224,7 +227,8 @@ mod tests {
             brand: "58.com".into(),
             kind: SemanticKind::Type1,
         }];
-        let analysis = AbuseAnalysis::from_semantic(&findings, &[], &BlacklistSet::new());
+        let analysis =
+            AbuseAnalysis::from_semantic(&findings, WhoisLookup::default(), &BlacklistSet::new());
         assert_eq!(analysis.total(), 1);
         assert_eq!(analysis.top_brands(1)[0].brand, "58.com");
     }

@@ -29,6 +29,7 @@ use idnre_langid::Language;
 use idnre_pdns::{DomainAggregate, PdnsStore, PopulationClass, TrafficModel};
 use idnre_rng::{Key, StageId};
 use idnre_telemetry::{NoopRecorder, Recorder, SpanCtx};
+use idnre_whois::analytics::{RegistrationAnalytics, WhoisLookup};
 use idnre_whois::{WhoisDialect, WhoisRecord};
 use idnre_zonefile::{RData, ResourceRecord, Zone};
 use rand::Rng;
@@ -65,6 +66,9 @@ pub struct Ecosystem {
     pub semantic2_attacks: Vec<AttackDomain>,
     /// WHOIS records (coverage-limited, like the real crawl).
     pub whois: Vec<WhoisRecord>,
+    /// Every WHOIS-derived aggregate the reports read, folded once from
+    /// `whois` (with `blacklist` flagging Figure 1's malicious series).
+    pub whois_summary: RegistrationAnalytics,
     /// Passive-DNS aggregates.
     pub pdns: PdnsStore,
     /// Certificates served by HTTPS-enabled domains.
@@ -107,6 +111,11 @@ impl Ecosystem {
         self.idn_registrations
             .iter()
             .filter(|r| r.malicious.is_some())
+    }
+
+    /// Domain → WHOIS record lookup over `whois`.
+    pub fn whois_lookup(&self) -> WhoisLookup<'_> {
+        self.whois_summary.lookup(&self.whois)
     }
 
     /// Looks up a registration by ACE domain.
@@ -461,6 +470,7 @@ mod tests {
                 "datagen.ordinary_registrations",
                 "datagen.stream.plan",
                 "datagen.stream.artifacts",
+                "datagen.whois_summary",
             ],
             "one span per generation step"
         );

@@ -11,6 +11,9 @@ use idnre_datagen::{
     dataset_fingerprint, generate_streamed, render_dataset, Ecosystem, EcosystemConfig,
 };
 use idnre_telemetry::NoopRecorder;
+use idnre_whois::analytics::RegistrationAnalytics;
+use idnre_whois::WhoisRecord;
+use std::collections::HashMap;
 
 /// The `idnre-dataset/2` fingerprint of the default scale-50 config.
 const REFERENCE_FINGERPRINT: u64 = 0xa304_79ee_d80c_6bdf;
@@ -53,4 +56,41 @@ fn check(threads: usize) {
     assert_eq!(eco.blacklist, batch.blacklist);
     assert_eq!(eco.whois, batch.whois);
     assert_eq!(eco.zones, batch.zones);
+}
+
+/// The WHOIS aggregate stored on the ecosystem is the one a serial fold of
+/// `eco.whois` with `eco.blacklist` as the flag computes, whatever the
+/// build and thread count. Scale 50 holds duplicate WHOIS domains.
+#[test]
+fn stored_whois_summary_matches_a_recomputation() {
+    for threads in [1usize, 4] {
+        let config = EcosystemConfig {
+            scale: 50,
+            threads,
+            ..EcosystemConfig::default()
+        };
+        let batch = Ecosystem::generate(&config);
+        let (streamed, _) = generate_streamed(&config, 1024, &NoopRecorder);
+        for (build, eco) in [("batch", &batch), ("streamed", &streamed)] {
+            let recomputed = RegistrationAnalytics::of_corpus(
+                &eco.whois,
+                |domain| eco.blacklist.is_malicious(domain),
+                1,
+            );
+            assert_eq!(
+                eco.whois_summary, recomputed,
+                "{build} build at {threads} threads"
+            );
+            assert_eq!(eco.whois_summary.total(), eco.whois.len() as u64);
+            assert!(!eco.whois_summary.flagged_creation_timeline().is_empty());
+            // A map collected from the corpus keeps each domain's last record.
+            let last: HashMap<&str, &WhoisRecord> =
+                eco.whois.iter().map(|r| (r.domain.as_str(), r)).collect();
+            assert!(last.len() < eco.whois.len(), "no duplicate WHOIS domains");
+            let lookup = eco.whois_lookup();
+            for (domain, record) in last {
+                assert_eq!(lookup.get(domain), Some(record), "{domain}");
+            }
+        }
+    }
 }

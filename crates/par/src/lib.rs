@@ -119,10 +119,51 @@ where
     per_chunk.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Runs `a` and `b` and returns both results: `b` on a second thread when
+/// `threads > 1`, both on the caller's thread otherwise.
+pub fn join<RA, RB, A, B>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let b = scope.spawn(b);
+        let ra = a();
+        let rb = b
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (ra, rb)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn join_returns_both_results_at_any_thread_count() {
+        let items: Vec<u64> = (0..100).collect();
+        for threads in [0, 1, 2, 8] {
+            let (sum, max) = join(
+                threads,
+                || items.iter().sum::<u64>(),
+                || items.iter().copied().max(),
+            );
+            assert_eq!((sum, max), (4950, Some(99)), "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "second")]
+    fn join_propagates_a_panic_of_the_second_closure() {
+        join(2, || 1, || -> u32 { panic!("second") });
+    }
 
     #[test]
     fn map_preserves_input_order() {

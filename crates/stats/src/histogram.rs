@@ -131,6 +131,17 @@ impl YearHistogram {
     }
 }
 
+/// Builds a histogram from `(year, count)` pairs, summing repeated years.
+impl FromIterator<(i32, u64)> for YearHistogram {
+    fn from_iter<T: IntoIterator<Item = (i32, u64)>>(iter: T) -> Self {
+        let mut histogram = Self::new();
+        for (year, count) in iter {
+            *histogram.years.entry(year).or_insert(0) += count;
+        }
+        histogram
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +177,10 @@ mod tests {
         assert_eq!(h.total(), 4);
         let years: Vec<i32> = h.iter().map(|(y, _)| y).collect();
         assert_eq!(years, vec![2000, 2001, 2017]);
+        let collected: YearHistogram = [(2017, 1), (2000, 1), (2001, 1), (2000, 1)]
+            .into_iter()
+            .collect();
+        assert_eq!(collected, h);
     }
 
     #[test]

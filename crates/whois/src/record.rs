@@ -61,23 +61,7 @@ impl WhoisRecord {
     /// signal the paper uses to call registrations "unlikely defensive"
     /// (Finding 3).
     pub fn uses_personal_email(&self) -> bool {
-        const FREE_MAIL: [&str; 8] = [
-            "@qq.com",
-            "@163.com",
-            "@gmail.com",
-            "@126.com",
-            "@139.com",
-            "@hotmail.com",
-            "@yahoo.com",
-            "@outlook.com",
-        ];
-        self.registrant_email
-            .as_deref()
-            .map(|e| {
-                let e = e.to_ascii_lowercase();
-                FREE_MAIL.iter().any(|suffix| e.ends_with(suffix))
-            })
-            .unwrap_or(false)
+        self.registrant_email.as_deref().is_some_and(is_free_mail)
     }
 
     /// The email domain of the registrant, if any (`someone@x.com` → `x.com`).
@@ -87,6 +71,24 @@ impl WhoisRecord {
             .and_then(|e| e.rsplit_once('@'))
             .map(|(_, dom)| dom)
     }
+}
+
+/// Whether `email`'s host (after its last `@`) is a free-mail provider,
+/// compared ASCII case-insensitively.
+pub(crate) fn is_free_mail(email: &str) -> bool {
+    const FREE_MAIL: [&str; 8] = [
+        "qq.com",
+        "163.com",
+        "gmail.com",
+        "126.com",
+        "139.com",
+        "hotmail.com",
+        "yahoo.com",
+        "outlook.com",
+    ];
+    email
+        .rsplit_once('@')
+        .is_some_and(|(_, host)| FREE_MAIL.iter().any(|free| host.eq_ignore_ascii_case(free)))
 }
 
 #[cfg(test)]
@@ -99,6 +101,14 @@ mod tests {
         assert!(!rec.uses_personal_email());
         rec.registrant_email = Some("776053229@qq.com".into());
         assert!(rec.uses_personal_email());
+        rec.registrant_email = Some("Someone@Gmail.COM".into());
+        assert!(rec.uses_personal_email());
+        rec.registrant_email = Some("a@b@163.com".into());
+        assert!(rec.uses_personal_email());
+        for not_free in ["x@notqq.com", "x@qq.com.cn", "qq.com", "@"] {
+            rec.registrant_email = Some(not_free.into());
+            assert!(!rec.uses_personal_email(), "{not_free}");
+        }
         rec.registrant_email = Some("legal@google.com".into());
         assert!(!rec.uses_personal_email());
     }

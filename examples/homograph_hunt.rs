@@ -45,7 +45,7 @@ fn main() {
     }
 
     // Who is being targeted, and did the brands protect themselves?
-    let analysis = AbuseAnalysis::from_homographs(&findings, &eco.whois, &eco.blacklist);
+    let analysis = AbuseAnalysis::from_homographs(&findings, eco.whois_lookup(), &eco.blacklist);
     println!("\ntop targeted brands:");
     for row in analysis.top_brands(5) {
         println!(

@@ -216,7 +216,7 @@ fn abuse_analysis_matches_table_xiii_shape() {
         .map(|r| r.domain.as_str())
         .collect();
     let findings = HomographDetector::new(&brands, 0.95).scan(corpus.iter().copied(), 4);
-    let analysis = AbuseAnalysis::from_homographs(&findings, &eco.whois, &eco.blacklist);
+    let analysis = AbuseAnalysis::from_homographs(&findings, eco.whois_lookup(), &eco.blacklist);
     // Google leads the homograph target table.
     let top = analysis.top_brands(3);
     assert_eq!(top[0].brand, "google.com");
