@@ -24,12 +24,11 @@ use crate::passes::{self, ScanPlan};
 use crate::ReproContext;
 use idnre_analyze::{DeltaStream, EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
-use idnre_blacklist::Source;
 use idnre_core::{HomographDetector, SemanticDetector, SkeletonCache};
+use idnre_datagen::columns::language_id;
 use idnre_datagen::{
-    DaySimulator, Ecosystem, EcosystemConfig, EpochCorpus, EpochDelta, EpochDeltaKind,
+    ColumnRows, DaySimulator, Ecosystem, EcosystemConfig, EpochCorpus, EpochDelta, EpochDeltaKind,
 };
-use idnre_langid::{Classifier, Language};
 use idnre_telemetry::{NoopRecorder, Recorder, SpanCtx};
 use std::sync::Arc;
 use std::time::Instant;
@@ -133,19 +132,17 @@ pub fn grow_columns(
     let base = overlay.base_idn_len() as usize;
     let have = columns.mark().rows;
     debug_assert!(have >= base, "columns shorter than the base corpus");
-    for reg in &overlay.appended()[have - base..] {
-        let sld_len = reg.unicode.find('.').unwrap_or(reg.unicode.len());
-        let sld = &reg.unicode[..sld_len];
-        let verdict = eco.blacklist.verdict(&reg.domain);
+    let rows = ColumnRows::of(&overlay.appended()[have - base..], &eco.blacklist);
+    for row in rows.iter() {
         columns.push_row(
-            sld,
-            &reg.tld,
-            reg.malicious.is_some(),
-            reg.language != Language::Unknown,
-            verdict.contains(&Source::VirusTotal),
-            verdict.contains(&Source::Qihoo360),
-            verdict.contains(&Source::Baidu),
-            |label| Classifier::global().classify(label).id(),
+            row.sld,
+            row.tld,
+            row.malicious,
+            row.organic,
+            row.vt,
+            row.q,
+            row.b,
+            language_id,
         );
     }
     for delta in deltas {

@@ -44,6 +44,7 @@ pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
 
 use idnre_analyze::{RecordSource, SliceSource, StreamSource};
+use idnre_arena::CorpusColumns;
 use idnre_core::{HomographDetector, HomographFinding, SemanticDetector, SemanticFinding};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_fault::{ErrorBudget, FaultPlan};
@@ -118,10 +119,7 @@ impl ReproContext {
     }
 
     fn build_batch(config: &EcosystemConfig, recorder: Arc<dyn Recorder>, mine: bool) -> Self {
-        let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-        let eco = Ecosystem::generate_traced(config, &*recorder, span.ctx());
-        span.add_records((eco.idn_registrations.len() + eco.non_idn_registrations.len()) as u64);
-        drop(span);
+        let (eco, columns) = generate_materialized(config, &*recorder);
 
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let Scanned {
@@ -132,6 +130,7 @@ impl ReproContext {
             ..
         } = run_scan(
             &eco,
+            &columns,
             &source,
             DEFAULT_SHARD_SIZE,
             config.threads,
@@ -153,10 +152,10 @@ impl ReproContext {
 
     /// [`ReproContext::build_recorded`] without ever materializing the full
     /// registration corpus: the streaming [`idnre_datagen::KeyedCorpus`]
-    /// regenerates each shard on demand, and the artifact walk, the column
-    /// build and the fused scan (which carries both surveys) walk it
-    /// `shard_size` records at a time: three walks of the IDN population,
-    /// two of the non-IDN one. The corpus's residency peak lands in the
+    /// regenerates each shard on demand, and the artifact walk (which also
+    /// builds the corpus columns) and the fused scan (which carries both
+    /// surveys) walk it `shard_size` records at a time: two walks of each
+    /// population. The corpus's residency peak lands in the
     /// `datagen.peak_resident_records` gauge and its walks in the
     /// `datagen.records.regenerated` counter. The report is byte-identical
     /// to the batch build at the same config, for every `shard_size` and
@@ -188,8 +187,8 @@ impl ReproContext {
         mine: bool,
     ) -> Self {
         let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-        let (eco, corpus) =
-            idnre_datagen::generate_streamed_traced(config, shard_size, &*recorder, span.ctx());
+        let (eco, corpus, columns) =
+            idnre_datagen::generate_with_columns(config, Some(shard_size), &*recorder, span.ctx());
         span.add_records(corpus.idn_len() + corpus.non_idn_len());
         drop(span);
 
@@ -202,6 +201,7 @@ impl ReproContext {
             ..
         } = run_scan(
             &eco,
+            &columns,
             &source,
             shard_size,
             config.threads,
@@ -237,11 +237,7 @@ impl ReproContext {
         setup: &FaultSetup,
         recorder: Arc<dyn Recorder>,
     ) -> Self {
-        let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-        let eco = Ecosystem::generate_traced(config, &*recorder, span.ctx());
-        span.add_records((eco.idn_registrations.len() + eco.non_idn_registrations.len()) as u64);
-        drop(span);
-
+        let (eco, columns) = generate_materialized(config, &*recorder);
         let threads = config.threads;
         let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
@@ -253,6 +249,7 @@ impl ReproContext {
             ..
         } = run_scan(
             &eco,
+            &columns,
             &source,
             DEFAULT_SHARD_SIZE,
             threads,
@@ -381,6 +378,19 @@ impl ReproContext {
     }
 }
 
+/// The materialized ecosystem and its corpus columns, generated under a
+/// `build.ecosystem` span: the batch and faulted builds' first step.
+fn generate_materialized(
+    config: &EcosystemConfig,
+    recorder: &dyn Recorder,
+) -> (Ecosystem, CorpusColumns) {
+    let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
+    let (eco, _, columns) =
+        idnre_datagen::generate_with_columns(config, None, recorder, span.ctx());
+    span.add_records((eco.idn_registrations.len() + eco.non_idn_registrations.len()) as u64);
+    (eco, columns)
+}
+
 /// Which observational surveys a build folds onto its fused scan.
 enum Surveys<'a> {
     /// The crawl and the WHOIS survey (the plain builds).
@@ -404,13 +414,15 @@ struct Scanned {
 }
 
 /// Builds both detectors and the full report-aggregator roster plus the
-/// `surveys`, then runs the one fused traversal every corpus-derived
-/// number comes from. With `mine` set, the skeleton-LSH bucket index folds
-/// on the same traversal (pass A) and the pair miner (pass B) runs over
-/// its non-singleton buckets afterwards, under the same parent span.
+/// `surveys` over the generator's `columns`, then runs the one fused
+/// traversal every corpus-derived number comes from. With `mine` set, the
+/// skeleton-LSH bucket index folds on the same traversal (pass A) and the
+/// pair miner (pass B) runs over its non-singleton buckets afterwards,
+/// under the same parent span.
 #[allow(clippy::too_many_arguments)]
 fn run_scan(
     eco: &Ecosystem,
+    columns: &CorpusColumns,
     source: &dyn RecordSource,
     shard_size: usize,
     threads: usize,
@@ -422,20 +434,12 @@ fn run_scan(
     let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
     let detector = HomographDetector::new(&brand_domains, 0.95);
     let semantic_detector = SemanticDetector::new(&brand_domains);
-    let columns = passes::build_columns(
-        source,
-        &eco.blacklist,
-        shard_size,
-        threads,
-        recorder,
-        parent,
-    );
-    let mining_plan = mine.then(|| mine::MiningPlan::new(&columns, threads));
+    let mining_plan = mine.then(|| mine::MiningPlan::new(columns, threads));
     let mut plan = match &mining_plan {
         Some(mining_plan) => passes::ScanPlan::new_mined(
             &detector,
             &semantic_detector,
-            &columns,
+            columns,
             &eco.pdns,
             passes::table3_domains(&eco.whois_summary),
             passes::fig6_candidates(eco.brands.top(30)),
@@ -445,7 +449,7 @@ fn run_scan(
         None => passes::ScanPlan::new(
             &detector,
             &semantic_detector,
-            &columns,
+            columns,
             &eco.pdns,
             passes::table3_domains(&eco.whois_summary),
             passes::fig6_candidates(eco.brands.top(30)),
@@ -469,7 +473,7 @@ fn run_scan(
     let mining = match (run.bucket_index, &mining_plan) {
         (Some(index), Some(mining_plan)) => Some(mine::mine_portfolios(
             &index,
-            &columns,
+            columns,
             mining_plan,
             eco,
             threads,

@@ -22,8 +22,8 @@ use idnre_analyze::{
     AnalysisPass, DeltaStream, EpochState, EpochStats, KeyedTally, Merge, Observed, PassHandle,
     Population, RecordSource, ScanResult, ShardedScan,
 };
-use idnre_arena::{BucketIndex, ColumnsBuilder, CorpusColumns, Symbol};
-use idnre_blacklist::{BlacklistSet, Source};
+use idnre_arena::{BucketIndex, ColumnsBuilder, CorpusColumns};
+use idnre_blacklist::BlacklistSet;
 use idnre_core::{
     AvailabilityEnumerator, ColumnedHomographPass, HomographDetector, HomographFinding,
     Semantic1Pass, Semantic2Pass, SemanticDetector, SemanticFinding, SkeletonCache,
@@ -32,9 +32,10 @@ use idnre_crawler::{
     AuthBehavior, Page, PageKind, ResolutionOutcome, UsageCategory, OUTCOME_COUNTERS,
     USAGE_COUNTERS,
 };
-use idnre_datagen::{Brand, ContentCategory, DomainRegistration};
+use idnre_datagen::columns::finish_columns;
+use idnre_datagen::{Brand, ColumnRows, ContentCategory, DomainRegistration};
 use idnre_fault::{ErrorBudget, FaultPlan};
-use idnre_langid::{Classifier, Language};
+use idnre_langid::Language;
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
 use idnre_whois::analytics::RegistrationAnalytics;
@@ -821,18 +822,22 @@ pub fn fig6_candidates(brands: &[Brand]) -> HashSet<String> {
         .collect()
 }
 
-/// Builds the struct-of-arrays corpus columns the report passes read:
-/// interned SLD labels, TLD ids, language ids, and the per-record
-/// malicious/organic/blacklist bits.
+/// Builds the struct-of-arrays corpus columns over an epoch overlay (or
+/// any other [`RecordSource`]): interned SLD labels, TLD ids, language ids,
+/// and the per-record malicious/organic/blacklist bits. The plain builds
+/// take their columns from the generator's artifact walk instead
+/// ([`idnre_datagen::generate_with_columns`]); both derive each row through
+/// [`ColumnRows`].
 ///
-/// The IDN population is walked sequentially in corpus order (shard by
-/// shard, so a streaming source materializes at most `shard_size` records
-/// at a time), which makes every symbol and column deterministic by
-/// construction — independent of thread count. Language classification
-/// runs once per **distinct** label, parallelized over the interner, and
-/// is broadcast to the per-record column; since the classifier is a pure
-/// function of the label string, the broadcast ids equal a per-record
-/// classification exactly.
+/// The IDN population is walked in windows of `4 × threads` shards: each
+/// window's shards are regenerated and turned into column rows on the
+/// worker pool (one shard per worker at a time), then folded into the
+/// builder in shard order, so every symbol and column is deterministic by
+/// construction — independent of thread count and shard size. Language
+/// classification runs once per **distinct** label, parallelized over the
+/// interner, and is broadcast to the per-record column; since the
+/// classifier is a pure function of the label string, the broadcast ids
+/// equal a per-record classification exactly.
 pub fn build_columns(
     source: &dyn RecordSource,
     blacklist: &BlacklistSet,
@@ -844,48 +849,22 @@ pub fn build_columns(
     let mut span = recorder.span_at("analyze.columns", parent, 0);
     let total = source.population_len(Population::Idn);
     let shard_size = shard_size.max(1);
+    let starts: Vec<u64> = (0..total).step_by(shard_size).collect();
     let mut builder = ColumnsBuilder::new();
-    let mut start = 0u64;
-    while start < total {
-        let len = (total - start).min(shard_size as u64) as usize;
-        source.with_shard(Population::Idn, start, len, &mut |records| {
-            // The per-record string work (label split, blacklist verdict)
-            // is precomputed on the worker pool; only the intern loop below
-            // stays sequential, so symbol assignment remains corpus-ordered
-            // and the columns stay byte-identical across thread counts.
-            let rows = idnre_par::par_map(records, threads, |reg| {
-                let sld_len = reg.unicode.find('.').unwrap_or(reg.unicode.len());
-                let verdict = blacklist.verdict(&reg.domain);
-                (
-                    sld_len,
-                    verdict.contains(&Source::VirusTotal),
-                    verdict.contains(&Source::Qihoo360),
-                    verdict.contains(&Source::Baidu),
-                )
+    for window in starts.chunks(4 * threads.max(1)) {
+        let rows = idnre_par::par_map(window, threads, |&start| {
+            let len = (total - start).min(shard_size as u64) as usize;
+            let mut rows = ColumnRows::new();
+            source.with_shard(Population::Idn, start, len, &mut |records| {
+                rows = ColumnRows::of(records, blacklist);
             });
-            for (reg, (sld_len, vt, q, b)) in records.iter().zip(rows) {
-                let sld = &reg.unicode[..sld_len];
-                builder.push(
-                    sld,
-                    &reg.tld,
-                    reg.malicious.is_some(),
-                    reg.language != Language::Unknown,
-                    vt,
-                    q,
-                    b,
-                );
-            }
+            rows
         });
-        start += len as u64;
+        for shard in rows {
+            shard.fold_into(&mut builder);
+        }
     }
-    let columns = builder.finish(|labels| {
-        let clf = Classifier::global();
-        let indices: Vec<u32> = (0..labels.len() as u32).collect();
-        idnre_par::par_map(&indices, threads, |&i| {
-            clf.classify(labels.resolve(Symbol::from_index(i as usize)))
-                .id()
-        })
-    });
+    let columns = finish_columns(builder, threads);
     span.add_records(total);
     columns
 }

@@ -598,6 +598,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         let started = Instant::now();
         let _ = crate::run_scan(
             &ctx.eco,
+            &columns,
             &probe_source,
             crate::DEFAULT_SHARD_SIZE,
             threads,
@@ -610,6 +611,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         let started = Instant::now();
         let _ = crate::run_scan(
             &ctx.eco,
+            &columns,
             &probe_source,
             crate::DEFAULT_SHARD_SIZE,
             threads,

@@ -8,7 +8,7 @@
 use idnre_analyze::SliceSource;
 use idnre_arena::CorpusColumns;
 use idnre_bench::passes;
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_with_columns, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 
 fn build(eco: &Ecosystem, shard_size: usize, threads: usize) -> CorpusColumns {
@@ -85,6 +85,41 @@ fn columns_are_identical_across_threads_and_shards() {
                 &reference,
                 &other,
                 &format!("threads={threads} shard_size={shard_size}"),
+            );
+        }
+    }
+}
+
+/// The columns the generator builds on its artifact walk equal an overlay
+/// build's over the materialized corpus, for the batch and the streamed
+/// generator, every thread count and every shard size: the walk's shard
+/// order, not its scheduling, decides every symbol.
+#[test]
+fn generator_columns_equal_an_overlay_build() {
+    let config = |threads| EcosystemConfig {
+        scale: 2000,
+        attack_scale: 25,
+        brand_count: 200,
+        threads,
+        ..EcosystemConfig::default()
+    };
+    let eco = Ecosystem::generate(&config(4));
+    let reference = build(&eco, 1024, 4);
+    for threads in [1usize, 4] {
+        let (_, _, batch) =
+            generate_with_columns(&config(threads), None, &NoopRecorder, SpanCtx::NONE);
+        assert_identical(&reference, &batch, &format!("batch threads={threads}"));
+        for shard_size in [1usize, 64, 1024] {
+            let (_, _, streamed) = generate_with_columns(
+                &config(threads),
+                Some(shard_size),
+                &NoopRecorder,
+                SpanCtx::NONE,
+            );
+            assert_identical(
+                &reference,
+                &streamed,
+                &format!("streamed threads={threads} shard_size={shard_size}"),
             );
         }
     }

@@ -98,8 +98,9 @@ fn full_report_traverses_the_corpus_once() {
 
 /// The streamed build's resident-set gauge stays proportional to
 /// shard_size × workers, never to the corpus: at most one live shard per
-/// worker per pipelined walk (artifacts, columns, the scan that carries
-/// the surveys), with a 4× allowance for handoff overlap.
+/// worker per pipelined walk (the artifact walk that also derives the
+/// column rows, and the scan that carries the surveys), with a 4×
+/// allowance for handoff overlap.
 #[test]
 fn streamed_peak_residency_is_bounded_by_shard_size() {
     let (threads, shard_size) = (4usize, 64usize);
@@ -124,9 +125,9 @@ fn streamed_peak_residency_is_bounded_by_shard_size() {
     assert!(ctx.outputs.idn_len + ctx.outputs.non_idn_len > (4 * shard_size * threads) as u64);
 }
 
-/// A streamed build walks its corpus exactly three times: the artifact
-/// walk and the fused scan cover both populations, and the column build
-/// covers the IDN one. The surveys ride the scan, so they add no walk.
+/// A streamed build walks its corpus exactly twice: the artifact walk and
+/// the fused scan each cover both populations. The column build rides the
+/// artifact walk and the surveys ride the scan, so neither adds a walk.
 #[test]
 fn streamed_build_regenerates_each_record_once_per_walk() {
     let registry = Arc::new(Registry::new());
@@ -134,7 +135,7 @@ fn streamed_build_regenerates_each_record_once_per_walk() {
     let (idn, non_idn) = (ctx.outputs.idn_len, ctx.outputs.non_idn_len);
     assert_eq!(
         registry.counter_value(REGENERATED_RECORDS),
-        3 * idn + 2 * non_idn,
+        2 * idn + 2 * non_idn,
         "{idn} IDN and {non_idn} non-IDN records"
     );
 }

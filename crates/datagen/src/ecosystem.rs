@@ -103,7 +103,7 @@ impl Ecosystem {
         recorder: &dyn Recorder,
         parent: SpanCtx,
     ) -> Self {
-        stream::generate_keyed(config, None, recorder, parent).0
+        stream::generate_keyed(config, None, false, recorder, parent).0
     }
 
     /// The malicious IDN registrations (any blacklist source).

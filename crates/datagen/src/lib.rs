@@ -39,6 +39,7 @@
 
 pub mod attacks;
 pub mod brands;
+pub mod columns;
 mod config;
 mod content;
 pub mod dataset;
@@ -50,6 +51,7 @@ mod registration;
 pub mod stream;
 
 pub use brands::{Brand, BrandList};
+pub use columns::ColumnRows;
 pub use config::{EcosystemConfig, TldSpec, TABLE_I};
 pub use content::ContentCategory;
 pub use dataset::{dataset_fingerprint, render_dataset, DATASET_SCHEMA};
@@ -58,6 +60,6 @@ pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};
 pub use hosting::HostingProfile;
 pub use registration::{DomainRegistration, MaliciousKind};
 pub use stream::{
-    generate_streamed, generate_streamed_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS,
-    REGENERATED_RECORDS,
+    generate_streamed, generate_streamed_traced, generate_with_columns, KeyedCorpus,
+    PEAK_RESIDENT_RECORDS, REGENERATED_RECORDS,
 };

@@ -8,9 +8,10 @@
 //! that config.
 
 use idnre_datagen::{
-    dataset_fingerprint, generate_streamed, render_dataset, Ecosystem, EcosystemConfig,
+    dataset_fingerprint, generate_streamed, generate_with_columns, render_dataset, Ecosystem,
+    EcosystemConfig,
 };
-use idnre_telemetry::NoopRecorder;
+use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_whois::analytics::RegistrationAnalytics;
 use idnre_whois::WhoisRecord;
 use std::collections::HashMap;
@@ -92,5 +93,41 @@ fn stored_whois_summary_matches_a_recomputation() {
                 assert_eq!(lookup.get(domain), Some(record), "{domain}");
             }
         }
+    }
+}
+
+/// Building the columns on the artifact walk leaves the ecosystem alone:
+/// the materialized build that also returns columns renders the dataset
+/// `Ecosystem::generate` renders.
+#[test]
+fn column_building_generation_keeps_the_fingerprint() {
+    let config = EcosystemConfig {
+        scale: 50,
+        ..EcosystemConfig::default()
+    };
+    let (eco, corpus, columns) = generate_with_columns(&config, None, &NoopRecorder, SpanCtx::NONE);
+    assert_eq!(
+        dataset_fingerprint(&render_dataset(&eco)),
+        dataset_fingerprint(&render_dataset(&Ecosystem::generate(&config)))
+    );
+    assert_eq!(
+        dataset_fingerprint(&render_dataset(&eco)),
+        REFERENCE_FINGERPRINT
+    );
+    assert_eq!(columns.len() as u64, corpus.idn_len());
+}
+
+/// The gram-table classifier returns the per-language oracle's language
+/// and confidence bits for every distinct label of the scale-50 corpus.
+#[test]
+fn classifier_matches_its_oracle_on_every_corpus_label() {
+    let config = EcosystemConfig {
+        scale: 50,
+        ..EcosystemConfig::default()
+    };
+    let (_, _, columns) = generate_with_columns(&config, Some(1024), &NoopRecorder, SpanCtx::NONE);
+    assert!(columns.labels().len() > 10_000, "too few labels");
+    for label in columns.labels().iter() {
+        assert!(idnre_langid::oracle::agrees(label), "{label:?}");
     }
 }

@@ -26,6 +26,9 @@
 
 mod corpus;
 mod model;
+#[cfg(any(test, feature = "oracle"))]
+#[doc(hidden)]
+pub mod oracle;
 
 pub use corpus::vocabulary;
 pub use model::{Classifier, Prediction};

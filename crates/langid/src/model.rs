@@ -4,19 +4,33 @@
 use crate::{corpus, Language};
 use idnre_unicode::{dominant_script, Script};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
+
+/// Languages per row of the gram table: one column per [`Language::ALL`]
+/// entry, addressed by [`Language::id`].
+const WIDTH: usize = Language::ALL.len();
 
 /// A trained language classifier.
 ///
 /// The model is cheap to train (the seed corpus is small); [`Classifier::global`]
 /// provides a process-wide instance trained once on first use.
+///
+/// Every trained gram maps to one row of per-language log-probabilities,
+/// with each language's unseen-gram mass filled in where that language
+/// never saw the gram; one extra row holds the unseen masses alone. A
+/// label's score therefore costs one lookup per gram, whatever the number
+/// of candidate languages.
 #[derive(Debug)]
 pub struct Classifier {
-    /// Per-language n-gram log-probabilities.
-    models: HashMap<Language, NgramModel>,
+    /// Packed gram → row index into `rows`.
+    index: HashMap<u64, u32, BuildHasherDefault<GramHasher>>,
+    /// Row-major `WIDTH`-wide log-probabilities; the last row is the
+    /// unseen-gram row.
+    rows: Vec<f64>,
 }
 
-/// One language's n-gram statistics.
+/// One language's n-gram statistics, as training derives them.
 ///
 /// N-grams are keyed by their [packed](pack_gram) `u64` form rather than a
 /// `String`: a 1–3 char gram fits three 21-bit codepoint slots (each stored
@@ -24,10 +38,32 @@ pub struct Classifier {
 /// text — probabilities are identical to the string-keyed model, but lookups
 /// hash 8 bytes and classification allocates no gram strings.
 #[derive(Debug, Default)]
-struct NgramModel {
-    log_probs: HashMap<u64, f64>,
+pub(crate) struct NgramModel {
+    pub(crate) log_probs: HashMap<u64, f64>,
     /// Log-probability assigned to unseen n-grams (add-one smoothing mass).
-    unseen: f64,
+    pub(crate) unseen: f64,
+}
+
+/// A fixed multiplicative hasher for packed grams: the gram table is
+/// built once from the seed corpus, so it needs no DoS-resistant keying.
+#[derive(Debug, Default)]
+struct GramHasher(u64);
+
+impl Hasher for GramHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, gram: u64) {
+        let h = (self.0 ^ gram).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A scored prediction.
@@ -39,11 +75,12 @@ pub struct Prediction {
     pub confidence: f64,
 }
 
-impl Classifier {
-    /// Trains a classifier from the embedded seed corpus.
-    pub fn train() -> Self {
-        let mut models = HashMap::new();
-        for lang in Language::ALL {
+/// Trains one add-one-smoothed gram model per language from the embedded
+/// seed corpus.
+pub(crate) fn train_models() -> Vec<(Language, NgramModel)> {
+    Language::ALL
+        .into_iter()
+        .map(|lang| {
             let mut counts: HashMap<u64, u64> = HashMap::new();
             let mut total: u64 = 0;
             for word in corpus::vocabulary(lang) {
@@ -58,15 +95,84 @@ impl Classifier {
                 .into_iter()
                 .map(|(gram, c)| (gram, ((c + 1) as f64 / denom).ln()))
                 .collect();
-            models.insert(
-                lang,
-                NgramModel {
-                    log_probs,
-                    unseen: (1.0 / denom).ln(),
-                },
-            );
+            let model = NgramModel {
+                log_probs,
+                unseen: (1.0 / denom).ln(),
+            };
+            (lang, model)
+        })
+        .collect()
+}
+
+/// What a label is scored on: its cleaned grams and candidate languages,
+/// or the verdict when the script prior alone decides.
+pub(crate) enum Scoring {
+    Decided(Prediction),
+    Score {
+        grams: Vec<u64>,
+        candidates: Vec<Language>,
+    },
+}
+
+/// The classifier's front end, shared with the test oracle: cleaning, the
+/// script prior and gram extraction.
+pub(crate) fn prepare(text: &str) -> Scoring {
+    let cleaned = clean(text);
+    let candidates = if cleaned.is_empty() {
+        Vec::new()
+    } else {
+        candidates_for(&cleaned)
+    };
+    match candidates.len() {
+        0 => Scoring::Decided(Prediction {
+            language: Language::Unknown,
+            confidence: 1.0,
+        }),
+        1 => Scoring::Decided(Prediction {
+            language: candidates[0],
+            confidence: 1.0,
+        }),
+        _ => Scoring::Score {
+            grams: ngrams(&cleaned).collect(),
+            candidates,
+        },
+    }
+}
+
+/// Picks the best-scoring candidate (the first on ties) and its
+/// softmax-normalized confidence.
+pub(crate) fn predict(mut scores: Vec<(Language, f64)>) -> Prediction {
+    scores.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite log-likelihoods"));
+    let max = scores[0].1;
+    let z: f64 = scores.iter().map(|&(_, s)| (s - max).exp()).sum();
+    Prediction {
+        language: scores[0].0,
+        confidence: 1.0 / z * (scores[0].1 - max).exp().max(f64::MIN_POSITIVE),
+    }
+}
+
+impl Classifier {
+    /// Trains a classifier from the embedded seed corpus.
+    pub fn train() -> Self {
+        let models = train_models();
+        let mut index: HashMap<u64, u32, BuildHasherDefault<GramHasher>> = HashMap::default();
+        let mut grams: Vec<u64> = models
+            .iter()
+            .flat_map(|(_, model)| model.log_probs.keys().copied())
+            .collect();
+        grams.sort_unstable();
+        grams.dedup();
+        let unseen: Vec<f64> = models.iter().map(|(_, model)| model.unseen).collect();
+        let mut rows = Vec::with_capacity((grams.len() + 1) * WIDTH);
+        for (row, &gram) in grams.iter().enumerate() {
+            index.insert(gram, row as u32);
+            for (lang, model) in &models {
+                let p = model.log_probs.get(&gram).copied();
+                rows.push(p.unwrap_or(unseen[usize::from(lang.id())]));
+            }
         }
-        Classifier { models }
+        rows.extend_from_slice(&unseen);
+        Classifier { index, rows }
     }
 
     /// The process-wide classifier, trained on first use.
@@ -89,46 +195,27 @@ impl Classifier {
 
     /// Classifies `text`, returning the winner and its normalized posterior.
     pub fn classify_detailed(&self, text: &str) -> Prediction {
-        let cleaned = clean(text);
-        if cleaned.is_empty() {
-            return Prediction {
-                language: Language::Unknown,
-                confidence: 1.0,
-            };
+        let (grams, candidates) = match prepare(text) {
+            Scoring::Decided(prediction) => return prediction,
+            Scoring::Score { grams, candidates } => (grams, candidates),
+        };
+        // Each candidate's log-likelihood sums its column in gram order
+        // from -0.0, as a per-language `Iterator::sum` does, so every
+        // score carries the same bits as one lookup per gram per language.
+        let unseen_row = self.rows.len() - WIDTH;
+        let columns: Vec<usize> = candidates.iter().map(|l| usize::from(l.id())).collect();
+        let mut sums = vec![-0.0f64; candidates.len()];
+        for gram in &grams {
+            let row = self
+                .index
+                .get(gram)
+                .map_or(unseen_row, |&r| r as usize * WIDTH);
+            let row = &self.rows[row..row + WIDTH];
+            for (sum, &column) in sums.iter_mut().zip(&columns) {
+                *sum += row[column];
+            }
         }
-        let candidates = candidates_for(&cleaned);
-        if candidates.is_empty() {
-            return Prediction {
-                language: Language::Unknown,
-                confidence: 1.0,
-            };
-        }
-        if candidates.len() == 1 {
-            return Prediction {
-                language: candidates[0],
-                confidence: 1.0,
-            };
-        }
-        let grams: Vec<u64> = ngrams(&cleaned).collect();
-        let mut scores: Vec<(Language, f64)> = candidates
-            .iter()
-            .map(|&lang| {
-                let model = &self.models[&lang];
-                let log_likelihood: f64 = grams
-                    .iter()
-                    .map(|g| model.log_probs.get(g).copied().unwrap_or(model.unseen))
-                    .sum();
-                (lang, log_likelihood)
-            })
-            .collect();
-        scores.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite log-likelihoods"));
-        // Softmax-normalize for a comparable confidence.
-        let max = scores[0].1;
-        let z: f64 = scores.iter().map(|&(_, s)| (s - max).exp()).sum();
-        Prediction {
-            language: scores[0].0,
-            confidence: 1.0 / z * (scores[0].1 - max).exp().max(f64::MIN_POSITIVE),
-        }
+        predict(candidates.into_iter().zip(sums).collect())
     }
 }
 
