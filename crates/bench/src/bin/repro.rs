@@ -34,11 +34,11 @@
 //! stdout stays a clean report stream. `--write PATH` combined with
 //! `--metrics json` also writes the snapshot to `PATH.metrics.json`.
 //!
-//! With `--faults`, ingest and the crawl survey run under a seeded fault
-//! schedule with retry/backoff, the report gains a "Run health" section,
-//! and the exit code follows the error-budget contract: 0 clean, 3
-//! degraded (errors within budget), 4 budget exceeded. A fixed spec
-//! replays the same schedule byte-for-byte.
+//! With `--faults`, ingest and the WHOIS and crawl surveys run under a
+//! seeded fault schedule with retry/backoff, the report gains a "Run
+//! health" section, and the exit code follows the error-budget contract:
+//! 0 clean, 3 degraded (errors within budget), 4 budget exceeded. A fixed
+//! spec replays the same schedule byte-for-byte.
 //!
 //! `--threads N` pins the worker count of every parallel stage; the report
 //! bytes are identical at every setting, only wall time changes.
@@ -49,9 +49,11 @@
 //! (surveys included) walk the shards, so peak resident records stay
 //! ≈ `shard_size × threads` at any scale
 //! (reported as the `datagen.peak_resident_records` counter under
-//! `--metrics`). The report bytes are identical to the batch build.
-//! `--stream` cannot be combined with `--faults` or `--dump-dataset`;
-//! with `--bench` it selects the streamed bench leg's shard size.
+//! `--metrics`). The report bytes are identical to the batch build, with
+//! or without `--faults` (a streamed faulted run also walks the shards
+//! for its crawl survey). `--stream` cannot be combined with
+//! `--dump-dataset`; with `--bench` it selects the streamed bench leg's
+//! shard size.
 //!
 //! `--bench` runs the whole pipeline once under timing, prints the stage
 //! table and the per-pass cost ledger to stderr, and writes
@@ -129,7 +131,7 @@
 //! byte-identical across runs and thread counts; with `--write PATH` it
 //! also lands in `PATH.metrics.det.json` so CI can `cmp` two runs.
 
-use idnre_bench::{reports, validate_flags, CliFlags, FaultSetup, ReproContext};
+use idnre_bench::{reports, validate_flags, Build, CliFlags, FaultSetup, ReproContext};
 use idnre_datagen::EcosystemConfig;
 use idnre_fault::FaultPlan;
 use idnre_sched::{RateConfig, SchedConfig};
@@ -414,22 +416,19 @@ fn main() {
         );
         run.final_report
     } else {
-        let built = match &faults {
-            Some(setup) => {
-                eprintln!(
-                    "fault schedule: profile `{}`, seed {:#x}",
-                    setup.plan.profile().name,
-                    setup.plan.seed()
-                );
-                ReproContext::build_faulted(&config, setup, recorder)
-            }
-            None if stream && mine_portfolios => {
-                ReproContext::build_streamed_mined(&config, shard_size, recorder)
-            }
-            None if stream => ReproContext::build_streamed(&config, shard_size, recorder),
-            None if mine_portfolios => ReproContext::build_mined(&config, recorder),
-            None => ReproContext::build_recorded(&config, recorder),
+        if let Some(setup) = &faults {
+            eprintln!(
+                "fault schedule: profile `{}`, seed {:#x}",
+                setup.plan.profile().name,
+                setup.plan.seed()
+            );
+        }
+        let build = Build {
+            shard_size: stream.then_some(shard_size),
+            mine: mine_portfolios,
+            faults,
         };
+        let built = ReproContext::build_with(&config, &build, recorder);
         eprintln!(
             "ecosystem ready: {} IDNs, {} non-IDNs, {} homograph findings, {} semantic findings",
             built.outputs.idn_len,

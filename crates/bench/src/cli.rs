@@ -66,18 +66,15 @@ impl CliFlags {
 /// message ("A cannot be combined with B"), so the flag a user is most
 /// likely to have just added goes first.
 pub const FLAG_CONFLICTS: &[(&str, &str)] = &[
-    ("--stream", "--faults"),
     ("--stream", "--dump-dataset"),
     ("--bench", "--faults"),
     ("--bench", "--metrics"),
     ("--bench", "--trace"),
     ("--bench", "--slo"),
     ("--slo", "--faults"),
-    ("--crawl-sched", "--stream"),
     ("--crawl-sched", "--bench"),
-    // Mining follows --stream's rule: a faulted run's exit code belongs to
-    // its error budget, and its report to the health section — no report
-    // extensions on top.
+    // A faulted run's exit code belongs to its error budget, and its
+    // report to the health section — no report extensions on top.
     ("--mine-portfolios", "--faults"),
     // Epochs re-fold resident partials; a fault schedule corrupts the very
     // corpus the partial cache assumes immutable-under-regeneration, and
@@ -193,12 +190,16 @@ mod tests {
         );
     }
 
+    /// A fault schedule composes with the streamed build, synchronous or
+    /// scheduled: the streamed faulted report equals the batch one
+    /// (`crates/bench/tests/fault_composition.rs`).
+    #[test]
+    fn stream_composes_with_faults() {
+        assert_eq!(validate_flags(&with(&["--stream", "--faults"])), Ok(()));
+    }
+
     /// One test body per conflict pair, driven off the table itself so a
     /// new entry cannot ship untested.
-    #[test]
-    fn stream_conflicts_with_faults() {
-        assert_conflict("--stream", "--faults");
-    }
 
     #[test]
     fn stream_conflicts_with_dump_dataset() {
@@ -231,16 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn crawl_sched_conflicts_with_stream() {
-        // --crawl-sched needs --faults to be a valid set at all, so pin
-        // it and check the stream conflict still fires first.
-        let flags = with(&["--crawl-sched", "--faults", "--stream"]);
+    fn crawl_sched_composes_with_stream() {
+        // --crawl-sched needs --faults to be a valid set at all.
         assert_eq!(
-            validate_flags(&flags),
-            Err("--stream cannot be combined with --faults".into()),
-            "conflict table order: stream×faults is listed before crawl-sched×stream"
+            validate_flags(&with(&["--crawl-sched", "--faults", "--stream"])),
+            Ok(())
         );
-        assert_conflict("--crawl-sched", "--stream");
     }
 
     #[test]
@@ -251,24 +248,21 @@ mod tests {
     #[test]
     fn mine_portfolios_conflicts_with_faults() {
         assert_conflict("--mine-portfolios", "--faults");
-        // Conflict-table order: the stream×faults row predates the
-        // mine-portfolios×faults row, so with all three set the older
-        // message wins.
+        // --stream composes with both, so the streamed set still trips
+        // this row.
         assert_eq!(
             validate_flags(&with(&["--mine-portfolios", "--faults", "--stream"])),
-            Err("--stream cannot be combined with --faults".into())
+            Err("--mine-portfolios cannot be combined with --faults".into())
         );
     }
 
     #[test]
     fn epochs_conflicts_with_faults() {
-        // --epochs needs --stream to be a valid set at all; pin --stream
-        // and observe that the older stream×faults row fires first, then
-        // check the bare pair.
+        // --epochs needs --stream to be a valid set at all; pin --stream,
+        // which composes with --faults, then check the bare pair.
         assert_eq!(
             validate_flags(&with(&["--epochs", "--stream", "--faults"])),
-            Err("--stream cannot be combined with --faults".into()),
-            "conflict table order: stream×faults is listed before epochs×faults"
+            Err("--epochs cannot be combined with --faults".into())
         );
         assert_conflict("--epochs", "--faults");
     }

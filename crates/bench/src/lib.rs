@@ -73,8 +73,8 @@ pub struct ReproContext {
     /// into ([`NoopRecorder`] unless built with
     /// [`ReproContext::build_recorded`]).
     pub recorder: Arc<dyn Recorder>,
-    /// Fault accounting of the run, present only when built with
-    /// [`ReproContext::build_faulted`]. Its verdict becomes the process
+    /// Fault accounting of the run, present only when built under a fault
+    /// schedule ([`ReproContext::build_faulted`], [`Build::faults`]). Its verdict becomes the process
     /// exit code, and [`ReproContext::full_report`] appends its section.
     pub health: Option<RunHealth>,
     /// Zone-wide confusable portfolios, present only when built with
@@ -95,6 +95,23 @@ impl std::fmt::Debug for ReproContext {
     }
 }
 
+/// How a [`ReproContext`] is built. Each field is one `repro` mode, and
+/// every combination runs through the one body of
+/// [`ReproContext::build_with`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Build {
+    /// `--stream --shard-size N`: regenerate the corpus `N` records at a
+    /// time instead of materializing it. `None` builds the registration
+    /// vectors and scans them at [`DEFAULT_SHARD_SIZE`].
+    pub shard_size: Option<usize>,
+    /// `--mine-portfolios`: fold the skeleton-LSH bucket index on the
+    /// scan and mine confusable portfolios from it.
+    pub mine: bool,
+    /// `--faults` (with `--crawl-sched` in its `sched`): run the WHOIS
+    /// survey, zone ingest and crawl survey under this fault schedule.
+    pub faults: Option<FaultSetup>,
+}
+
 impl ReproContext {
     /// Generates the ecosystem and runs both detectors.
     pub fn build(config: &EcosystemConfig) -> Self {
@@ -106,7 +123,7 @@ impl ReproContext {
     /// `recorder`. The built context — and therefore every report — is
     /// byte-identical regardless of the recorder.
     pub fn build_recorded(config: &EcosystemConfig, recorder: Arc<dyn Recorder>) -> Self {
-        Self::build_batch(config, recorder, false)
+        Self::build_with(config, &Build::default(), recorder)
     }
 
     /// [`ReproContext::build_recorded`] with the two-pass skeleton-LSH
@@ -115,39 +132,11 @@ impl ReproContext {
     /// non-singleton buckets, and the context carries [`MiningOutputs`].
     /// The default report sections are byte-identical to an unmined build.
     pub fn build_mined(config: &EcosystemConfig, recorder: Arc<dyn Recorder>) -> Self {
-        Self::build_batch(config, recorder, true)
-    }
-
-    fn build_batch(config: &EcosystemConfig, recorder: Arc<dyn Recorder>, mine: bool) -> Self {
-        let (eco, columns) = generate_materialized(config, &*recorder);
-
-        let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-        let Scanned {
-            homographs,
-            semantic,
-            outputs,
-            mining,
-            ..
-        } = run_scan(
-            &eco,
-            &columns,
-            &source,
-            DEFAULT_SHARD_SIZE,
-            config.threads,
-            mine,
-            Surveys::All,
-            &*recorder,
-            SpanCtx::ROOT,
-        );
-        ReproContext {
-            eco,
-            homographs,
-            semantic,
-            outputs,
-            recorder,
-            health: None,
-            mining,
-        }
+        let build = Build {
+            mine: true,
+            ..Build::default()
+        };
+        Self::build_with(config, &build, recorder)
     }
 
     /// [`ReproContext::build_recorded`] without ever materializing the full
@@ -165,7 +154,11 @@ impl ReproContext {
         shard_size: usize,
         recorder: Arc<dyn Recorder>,
     ) -> Self {
-        Self::build_stream(config, shard_size, recorder, false)
+        let build = Build {
+            shard_size: Some(shard_size),
+            ..Build::default()
+        };
+        Self::build_with(config, &build, recorder)
     }
 
     /// [`ReproContext::build_streamed`] with the portfolio miner enabled:
@@ -177,139 +170,103 @@ impl ReproContext {
         shard_size: usize,
         recorder: Arc<dyn Recorder>,
     ) -> Self {
-        Self::build_stream(config, shard_size, recorder, true)
-    }
-
-    fn build_stream(
-        config: &EcosystemConfig,
-        shard_size: usize,
-        recorder: Arc<dyn Recorder>,
-        mine: bool,
-    ) -> Self {
-        let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-        let (eco, corpus, columns) =
-            idnre_datagen::generate_with_columns(config, Some(shard_size), &*recorder, span.ctx());
-        span.add_records(corpus.idn_len() + corpus.non_idn_len());
-        drop(span);
-
-        let source = StreamSource::new(&corpus);
-        let Scanned {
-            homographs,
-            semantic,
-            outputs,
-            mining,
-            ..
-        } = run_scan(
-            &eco,
-            &columns,
-            &source,
-            shard_size,
-            config.threads,
-            mine,
-            Surveys::All,
-            &*recorder,
-            SpanCtx::ROOT,
-        );
-        // Recorded last so both cover every shard walk of the build.
-        recorder.gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
-        recorder.add(idnre_datagen::REGENERATED_RECORDS, corpus.regenerated());
-        ReproContext {
-            eco,
-            homographs,
-            semantic,
-            outputs,
-            recorder,
-            health: None,
-            mining,
-        }
+        let build = Build {
+            shard_size: Some(shard_size),
+            mine: true,
+            ..Build::default()
+        };
+        Self::build_with(config, &build, recorder)
     }
 
     /// [`ReproContext::build_recorded`] under a fault schedule: generation
     /// and the detector scans run as usual, but the WHOIS survey on the
     /// scan sees corrupted transfers, the zone corpus is round-tripped
-    /// through lenient ingest with seeded corruption, and the crawl survey
-    /// runs the full retry/backoff schedule against injected faults
-    /// instead of riding the scan. The damage is tallied in an
-    /// [`ErrorBudget`] and the context carries a [`RunHealth`] whose status
-    /// is the run's exit-code verdict.
+    /// through lenient ingest with seeded corruption (its coverage is
+    /// accounted, not fed forward), and the crawl survey runs the full
+    /// retry/backoff schedule against injected faults after the scan
+    /// instead of riding it. The damage is tallied in an [`ErrorBudget`]
+    /// and the context carries a [`RunHealth`] whose status is the run's
+    /// exit-code verdict. A [`Build`] with a `shard_size` streams the same
+    /// run, with the same report bytes.
     pub fn build_faulted(
         config: &EcosystemConfig,
         setup: &FaultSetup,
         recorder: Arc<dyn Recorder>,
     ) -> Self {
-        let (eco, columns) = generate_materialized(config, &*recorder);
-        let threads = config.threads;
-        let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-        let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-        let Scanned {
-            homographs,
-            semantic,
-            outputs,
-            whois: whois_stats,
-            ..
-        } = run_scan(
+        let build = Build {
+            faults: Some(*setup),
+            ..Build::default()
+        };
+        Self::build_with(config, &build, recorder)
+    }
+
+    /// The one builder body every other builder calls: generation (and the
+    /// corpus columns) under a `build.ecosystem` span, the fused scan over
+    /// the materialized or streamed corpus, then — under a fault schedule
+    /// — [`robust::faulted_stages`] over the same source. A streamed build
+    /// records its residency peak and regenerated-record count last, so
+    /// both cover every walk of the build.
+    pub fn build_with(
+        config: &EcosystemConfig,
+        build: &Build,
+        recorder: Arc<dyn Recorder>,
+    ) -> Self {
+        let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
+        let (eco, corpus, columns) =
+            idnre_datagen::generate_with_columns(config, build.shard_size, &*recorder, span.ctx());
+        span.add_records(corpus.idn_len() + corpus.non_idn_len());
+        drop(span);
+
+        let (batch, streamed);
+        let (source, shard_size): (&dyn RecordSource, usize) = match build.shard_size {
+            Some(shard_size) => {
+                streamed = StreamSource::new(&corpus);
+                (&streamed, shard_size)
+            }
+            None => {
+                batch = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+                (&batch, DEFAULT_SHARD_SIZE)
+            }
+        };
+        let budget = build
+            .faults
+            .map(|setup| ErrorBudget::new(setup.plan.profile().budget_per_mille));
+        let faults = build.faults.as_ref().zip(budget.as_ref());
+        let scanned = run_scan(
             &eco,
             &columns,
-            &source,
-            DEFAULT_SHARD_SIZE,
-            threads,
-            false,
-            Surveys::FaultedWhois {
-                plan: &setup.plan,
-                budget: &budget,
-            },
+            source,
+            shard_size,
+            config.threads,
+            build.mine,
+            faults.map(|(setup, budget)| (&setup.plan, budget)),
             &*recorder,
             SpanCtx::ROOT,
         );
-
-        let (zones, zone_stats) = robust::ingest_zones_faulted_at(
-            &eco.zones,
-            &setup.plan,
-            &budget,
-            threads,
-            &*recorder,
-            SpanCtx::ROOT,
-        );
-        let ctx = idnre_crawler::FaultContext {
-            plan: setup.plan,
-            policy: setup.policy,
-        };
-        let (survey, sched) = match &setup.sched {
-            Some(sched_config) => {
-                let (survey, sched_stats) = robust::crawl_survey_scheduled_at(
-                    &eco,
-                    &zones,
-                    &setup.plan,
-                    sched_config,
-                    setup.threads,
-                    &budget,
-                    &*recorder,
-                    SpanCtx::ROOT,
-                );
-                (survey, Some(sched_stats))
-            }
-            None => (
-                robust::crawl_survey_faulted_at(
-                    &eco,
-                    &zones,
-                    &ctx,
-                    setup.threads,
-                    &budget,
-                    &*recorder,
-                    SpanCtx::ROOT,
-                ),
-                None,
-            ),
-        };
-        let health = RunHealth::with_sched(setup, zone_stats, whois_stats, survey, &budget, sched);
+        let health = faults.map(|(setup, budget)| {
+            robust::faulted_stages(
+                &eco.zones,
+                source,
+                shard_size,
+                setup,
+                scanned.whois,
+                budget,
+                &*recorder,
+                SpanCtx::ROOT,
+            )
+        });
+        if build.shard_size.is_some() {
+            recorder.gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
+            recorder.add(idnre_datagen::REGENERATED_RECORDS, corpus.regenerated());
+        }
         ReproContext {
             eco,
-            homographs,
-            semantic,
-            outputs,
+            homographs: scanned.homographs,
+            semantic: scanned.semantic,
+            outputs: scanned.outputs,
             recorder,
-            health: Some(health),
-            mining: None,
+            health,
+            mining: scanned.mining,
         }
     }
 
@@ -378,32 +335,6 @@ impl ReproContext {
     }
 }
 
-/// The materialized ecosystem and its corpus columns, generated under a
-/// `build.ecosystem` span: the batch and faulted builds' first step.
-fn generate_materialized(
-    config: &EcosystemConfig,
-    recorder: &dyn Recorder,
-) -> (Ecosystem, CorpusColumns) {
-    let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-    let (eco, _, columns) =
-        idnre_datagen::generate_with_columns(config, None, recorder, span.ctx());
-    span.add_records((eco.idn_registrations.len() + eco.non_idn_registrations.len()) as u64);
-    (eco, columns)
-}
-
-/// Which observational surveys a build folds onto its fused scan.
-enum Surveys<'a> {
-    /// The crawl and the WHOIS survey (the plain builds).
-    All,
-    /// Only the WHOIS survey, under a fault plan whose damage `budget`
-    /// tallies (the faulted build, whose crawl survey runs the retry
-    /// schedule after the scan instead).
-    FaultedWhois {
-        plan: &'a FaultPlan,
-        budget: &'a ErrorBudget,
-    },
-}
-
 /// What [`run_scan`] hands back to a builder.
 struct Scanned {
     homographs: Vec<HomographFinding>,
@@ -414,8 +345,11 @@ struct Scanned {
 }
 
 /// Builds both detectors and the full report-aggregator roster plus the
-/// `surveys` over the generator's `columns`, then runs the one fused
-/// traversal every corpus-derived number comes from. With `mine` set, the
+/// surveys over the generator's `columns`, then runs the one fused
+/// traversal every corpus-derived number comes from. Without `faults` the
+/// scan carries the crawl and the WHOIS survey; under a fault plan it
+/// carries only the WHOIS survey, whose damage the budget tallies, and
+/// the faulted crawl survey runs after the scan. With `mine` set, the
 /// skeleton-LSH bucket index folds on the same traversal (pass A) and the
 /// pair miner (pass B) runs over its non-singleton buckets afterwards,
 /// under the same parent span.
@@ -427,7 +361,7 @@ fn run_scan(
     shard_size: usize,
     threads: usize,
     mine: bool,
-    surveys: Surveys<'_>,
+    faults: Option<(&FaultPlan, &ErrorBudget)>,
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> Scanned {
@@ -456,15 +390,11 @@ fn run_scan(
             threads,
         ),
     };
-    let whois = match surveys {
-        Surveys::All => {
-            plan = plan.with_crawl_survey();
-            passes::WhoisPass::new(&eco.whois, None, None)
-        }
-        Surveys::FaultedWhois { plan, budget } => {
-            passes::WhoisPass::new(&eco.whois, Some(plan), Some(budget))
-        }
-    };
+    if faults.is_none() {
+        plan = plan.with_crawl_survey();
+    }
+    let (fault_plan, budget) = faults.unzip();
+    let whois = passes::WhoisPass::new(&eco.whois, fault_plan, budget);
     let run = plan
         .with_whois_survey(whois)
         .run_at(source, shard_size, threads, recorder, parent);

@@ -603,7 +603,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
             crate::DEFAULT_SHARD_SIZE,
             threads,
             false,
-            crate::Surveys::All,
+            None,
             &probe_registry,
             SpanCtx::NONE,
         );
@@ -616,7 +616,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
             crate::DEFAULT_SHARD_SIZE,
             threads,
             false,
-            crate::Surveys::All,
+            None,
             &NoopRecorder,
             SpanCtx::NONE,
         );
@@ -640,44 +640,41 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     // (wheel, rate limits, breakers). `crawl.survey.sched` vs
     // `crawl.survey.sync` read from the JSON is the scheduler's overhead
     // on a clean run — the throughput floor CI's storm-smoke job gates.
-    let clean_plan = idnre_fault::FaultPlan::new(config.seed, idnre_fault::FaultProfile::none());
-    let fault_ctx = idnre_crawler::FaultContext {
-        plan: clean_plan,
+    let clean = crate::FaultSetup {
+        plan: idnre_fault::FaultPlan::new(config.seed, idnre_fault::FaultProfile::none()),
         policy: idnre_fault::RetryPolicy::default(),
-    };
-    let survey_domains = corpus_len;
-    let started = Instant::now();
-    let _ = crate::robust::crawl_survey_faulted(
-        &ctx.eco,
-        &ctx.eco.zones,
-        &fault_ctx,
         threads,
-        &idnre_fault::ErrorBudget::new(0),
-        &NoopRecorder,
-    );
+        sched: None,
+    };
+    let survey_ns = |setup: &crate::FaultSetup| {
+        let started = Instant::now();
+        let _ = crate::robust::crawl_survey_at(
+            &probe_source,
+            crate::DEFAULT_SHARD_SIZE,
+            setup,
+            &idnre_fault::ErrorBudget::new(0),
+            &NoopRecorder,
+            SpanCtx::NONE,
+        );
+        elapsed_ns(started)
+    };
     entries.push(BenchEntry {
         stage: "crawl.survey.sync".to_string(),
         mode: "batch",
         threads,
-        wall_ns: elapsed_ns(started),
-        records: survey_domains,
+        wall_ns: survey_ns(&clean),
+        records: corpus_len,
     });
-    let started = Instant::now();
-    let _ = crate::robust::crawl_survey_scheduled(
-        &ctx.eco,
-        &ctx.eco.zones,
-        &clean_plan,
-        &idnre_sched::SchedConfig::default(),
-        threads,
-        &idnre_fault::ErrorBudget::new(0),
-        &NoopRecorder,
-    );
+    let scheduled = crate::FaultSetup {
+        sched: Some(idnre_sched::SchedConfig::default()),
+        ..clean
+    };
     entries.push(BenchEntry {
         stage: "crawl.survey.sched".to_string(),
         mode: "batch",
         threads,
-        wall_ns: elapsed_ns(started),
-        records: survey_domains,
+        wall_ns: survey_ns(&scheduled),
+        records: corpus_len,
     });
 
     // The incremental-epoch probe: a short zone-diff loop on its own

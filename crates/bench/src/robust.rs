@@ -12,12 +12,13 @@
 //! across runs *and* across worker-thread counts.
 
 use crate::passes::{host_model, outcome_index, usage_index, WhoisPass};
-use idnre_analyze::{ShardedScan, SliceSource};
+use idnre_analyze::{Population, RecordSource, ShardedScan, SliceSource};
 use idnre_crawler::{
-    Crawler, FaultContext, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS, OUTCOME_COUNTERS, RETRY_COUNTERS,
-    SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, USAGE_COUNTERS,
+    sched_slice_span, survey_slice_span, Crawler, FaultContext, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS,
+    OUTCOME_COUNTERS, RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN,
+    SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN, USAGE_COUNTERS,
 };
-use idnre_datagen::Ecosystem;
+use idnre_datagen::{DomainRegistration, Ecosystem};
 use idnre_fault::{ErrorBudget, FaultPlan, RetryPolicy, RunStatus, SimClock};
 use idnre_sched::{SchedConfig, SchedStats};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -33,7 +34,8 @@ pub struct FaultSetup {
     pub plan: FaultPlan,
     /// Attempts, backoff and deadline per crawl target.
     pub policy: RetryPolicy,
-    /// Survey worker threads (clamped to 1..=64).
+    /// Worker threads of the fault stages, lenient zone ingest and the
+    /// crawl survey (clamped to 1..=64).
     pub threads: usize,
     /// When set, the crawl survey runs through the event-driven
     /// scheduler (bounded window, rate limits, breakers, load shedding)
@@ -168,21 +170,9 @@ pub struct RunHealth {
 }
 
 impl RunHealth {
-    /// Folds the per-stage accounting and the budget's verdict into the
-    /// run's terminal health.
+    /// Folds the per-stage accounting, the scheduler's when the survey ran
+    /// through it, and the budget's verdict into the run's terminal health.
     pub fn new(
-        setup: &FaultSetup,
-        zones: IngestStats,
-        whois: CrawlStats,
-        survey: SurveyStats,
-        budget: &ErrorBudget,
-    ) -> Self {
-        Self::with_sched(setup, zones, whois, survey, budget, None)
-    }
-
-    /// [`RunHealth::new`] with the scheduler's accounting attached (the
-    /// scheduled-survey path).
-    pub fn with_sched(
         setup: &FaultSetup,
         zones: IngestStats,
         whois: CrawlStats,
@@ -309,32 +299,23 @@ fn per_mille_pct(per_mille: u64) -> String {
 
 /// Round-trips the generated zones through master-file text with seeded
 /// line corruption, then re-ingests them leniently: corrupted lines are
-/// skipped and accounted (`zone.lenient.skipped`, the error budget), and
-/// the salvaged zones feed the crawl survey. Strict parsing would abort
-/// on the first corrupt line; this is the degrade-and-continue path.
+/// skipped and accounted (`zone.lenient.skipped`, the error budget)
+/// instead of aborting the run, as strict parsing would on the first
+/// corrupt line. The salvaged zones are counted and dropped: nothing
+/// downstream reads them, since a crawled name is delegated by its own
+/// registration (see [`crawl_survey_at`]).
 ///
 /// Each zone is one shard on the work-queue executor: corruption is a
-/// stateless hash of `(origin, line)` and the salvaged zones come back in
-/// input order, so the result is byte-identical for every `threads`.
-pub fn ingest_zones_faulted(
-    zones: &[Zone],
-    plan: &FaultPlan,
-    budget: &ErrorBudget,
-    threads: usize,
-    recorder: &dyn Recorder,
-) -> (Vec<Zone>, IngestStats) {
-    ingest_zones_faulted_at(zones, plan, budget, threads, recorder, SpanCtx::NONE)
-}
-
-/// [`ingest_zones_faulted`], parented at `parent` in the span tree.
-pub fn ingest_zones_faulted_at(
+/// stateless hash of `(origin, line)`, so the stats are identical for
+/// every `threads`.
+fn ingest_zones_faulted_at(
     zones: &[Zone],
     plan: &FaultPlan,
     budget: &ErrorBudget,
     threads: usize,
     recorder: &dyn Recorder,
     parent: SpanCtx,
-) -> (Vec<Zone>, IngestStats) {
+) -> IngestStats {
     let mut span = recorder.span_at("zone.ingest.lenient", parent, 0);
     let per_zone = idnre_par::par_map(zones, threads, |zone| {
         let origin = zone.origin.to_string();
@@ -355,23 +336,20 @@ pub fn ingest_zones_faulted_at(
         let lenient = parse_zone_lenient(&origin, &text);
         budget.record_ok(lenient.parsed() as u64);
         budget.record_error(lenient.errors.len() as u64);
-        let shard_stats = IngestStats {
+        IngestStats {
             attempted: lenient.attempted as u64,
             skipped: lenient.errors.len() as u64,
-        };
-        (lenient.zone, shard_stats)
+        }
     });
     let mut stats = IngestStats::default();
-    let mut salvaged = Vec::with_capacity(zones.len());
-    for (zone, shard_stats) in per_zone {
+    for shard_stats in per_zone {
         stats.attempted += shard_stats.attempted;
         stats.skipped += shard_stats.skipped;
-        salvaged.push(zone);
     }
     recorder.add("zone.lenient.attempted", stats.attempted);
     recorder.add("zone.lenient.skipped", stats.skipped);
     span.add_records(stats.attempted);
-    (salvaged, stats)
+    stats
 }
 
 /// Replays the paper's WHOIS collection over the registered IDN corpus
@@ -409,223 +387,229 @@ pub(crate) fn record_whois_coverage(stats: &CrawlStats, recorder: &dyn Recorder)
     }
 }
 
-/// The fault-injected counterpart of the plain crawl survey: builds the
-/// crawler from the (salvaged) zones, then crawls every registered domain
-/// under the retry schedule on `threads` workers. Each domain gets its
-/// own virtual clock and a stateless slice of the fault plan, so the
-/// aggregate — and every counter — is identical for any thread count.
-/// Domains whose terminal verdict was fault-made count against `budget`.
-pub fn crawl_survey_faulted(
-    eco: &Ecosystem,
-    zones: &[Zone],
-    ctx: &FaultContext,
-    threads: usize,
-    budget: &ErrorBudget,
-    recorder: &dyn Recorder,
-) -> SurveyStats {
-    crawl_survey_faulted_at(eco, zones, ctx, threads, budget, recorder, SpanCtx::NONE)
-}
-
-/// [`crawl_survey_faulted`], parented at `parent` in the span tree. The
-/// population is split into fixed-size slices
-/// ([`idnre_crawler::SURVEY_SLICE_RECORDS`] domains each) rather than
-/// thread-derived chunks, and every slice runs under its own
-/// [`idnre_crawler::survey_slice_span`] — so the survey's subtree has the
-/// same shape at any worker count.
-pub fn crawl_survey_faulted_at(
-    eco: &Ecosystem,
-    zones: &[Zone],
-    ctx: &FaultContext,
-    threads: usize,
-    budget: &ErrorBudget,
-    recorder: &dyn Recorder,
-    parent: SpanCtx,
-) -> SurveyStats {
-    let mut span = recorder.span_at("crawl.survey.faulted", parent, 0);
-    let mut crawler = Crawler::new();
-    for zone in zones {
-        crawler.add_zone(zone);
-    }
-    let population: Vec<&idnre_datagen::DomainRegistration> = eco
-        .idn_registrations
-        .iter()
-        .chain(&eco.non_idn_registrations)
-        .collect();
-    for reg in &population {
-        let (behavior, page) = host_model(reg);
-        crawler.set_host(&reg.domain, behavior, page);
-    }
-    // Pre-register every counter and the attempts histogram so snapshot
-    // ordering cannot depend on which worker thread touches a name first.
-    recorder.preregister_groups(&[
-        &OUTCOME_COUNTERS[..],
-        &RETRY_COUNTERS[..],
-        &FAULT_COUNTERS[..],
-        &USAGE_COUNTERS[..],
-    ]);
-    recorder.preregister_stages(&[ATTEMPTS_HISTOGRAM, idnre_crawler::SURVEY_SLICE_SPAN]);
-
-    let crawler = &crawler;
-    let survey_ctx = span.ctx();
-    let per_chunk = idnre_par::par_chunks(
-        &population,
-        threads,
-        idnre_crawler::SURVEY_SLICE_RECORDS,
-        |slice_index, chunk| {
-            let mut slice_span =
-                idnre_crawler::survey_slice_span(recorder, survey_ctx, slice_index as u64);
-            slice_span.add_records(chunk.len() as u64);
-            let mut local = SurveyStats::default();
-            for reg in chunk {
-                let mut clock = SimClock::new();
-                let crawl = crawler.crawl_faulted(&reg.domain, ctx, &mut clock, recorder);
-                local.domains += 1;
-                local.attempts += u64::from(crawl.resolution.attempts);
-                local.retries += u64::from(crawl.resolution.retries)
-                    + u64::from(crawl.http_attempts.saturating_sub(1));
-                local.exhausted += u64::from(crawl.resolution.exhausted);
-                local.deadline_hit += u64::from(crawl.resolution.deadline_hit);
-                local.faults_injected += u64::from(crawl.faults_injected);
-                local.terminal_faulted += u64::from(crawl.terminal_faulted);
-                local.backoff_nanos += crawl.resolution.backoff_nanos;
-                local.elapsed_nanos += crawl.elapsed_nanos;
-                local.outcomes[outcome_index(crawl.resolution.outcome)] += 1;
-                local.usage[usage_index(crawl.category)] += 1;
-                if crawl.terminal_faulted {
-                    budget.record_error(1);
-                } else {
-                    budget.record_ok(1);
-                }
-            }
-            local
-        },
-    );
-    let mut stats = SurveyStats::default();
-    for local in &per_chunk {
-        stats.merge(local);
-    }
-    span.add_records(stats.domains);
-    stats
-}
-
-/// The event-driven counterpart of [`crawl_survey_faulted`]: the same
-/// population, fault plan and host model, but each fixed-size slice runs
-/// one deterministic scheduler instance (`idnre-sched`) — shared virtual
-/// timeline, bounded in-flight window, per-nameserver rate limits and
-/// circuit breakers, and priority-classed load shedding.
-///
-/// Accounting splits three ways on the error budget: executed domains
-/// whose terminal verdict was fault-made are errors, other executed
-/// domains are ok, and shed domains are recorded as shed (lost coverage
-/// that never counts as error). Slices are fixed-size and each scheduler
-/// is single-threaded, so the survey replays byte-identically across
-/// worker-thread counts.
-pub fn crawl_survey_scheduled(
-    eco: &Ecosystem,
-    zones: &[Zone],
-    plan: &FaultPlan,
-    config: &SchedConfig,
-    threads: usize,
-    budget: &ErrorBudget,
-    recorder: &dyn Recorder,
-) -> (SurveyStats, SchedStats) {
-    crawl_survey_scheduled_at(
-        eco,
-        zones,
-        plan,
-        config,
-        threads,
-        budget,
-        recorder,
-        SpanCtx::NONE,
-    )
-}
-
-/// [`crawl_survey_scheduled`], parented at `parent` in the span tree.
+/// A faulted build's stages after the fused scan, in their one order:
+/// lenient zone ingest, then the crawl survey over `source`. Folds both,
+/// the scan's WHOIS accounting and `budget`'s verdict into the run's
+/// [`RunHealth`].
 #[allow(clippy::too_many_arguments)]
-pub fn crawl_survey_scheduled_at(
-    eco: &Ecosystem,
+pub fn faulted_stages(
     zones: &[Zone],
-    plan: &FaultPlan,
-    config: &SchedConfig,
-    threads: usize,
+    source: &dyn RecordSource,
+    shard_size: usize,
+    setup: &FaultSetup,
+    whois: CrawlStats,
     budget: &ErrorBudget,
     recorder: &dyn Recorder,
     parent: SpanCtx,
-) -> (SurveyStats, SchedStats) {
-    let mut span = recorder.span_at("crawl.survey.sched", parent, 0);
-    let mut crawler = Crawler::new();
-    for zone in zones {
-        crawler.add_zone(zone);
-    }
-    let population: Vec<&idnre_datagen::DomainRegistration> = eco
-        .idn_registrations
-        .iter()
-        .chain(&eco.non_idn_registrations)
-        .collect();
-    for reg in &population {
-        let (behavior, page) = host_model(reg);
-        crawler.set_host(&reg.domain, behavior, page);
-    }
-    recorder.preregister_groups(&[
+) -> RunHealth {
+    let zone_stats =
+        ingest_zones_faulted_at(zones, &setup.plan, budget, setup.threads, recorder, parent);
+    let (survey, sched) = crawl_survey_at(source, shard_size, setup, budget, recorder, parent);
+    RunHealth::new(setup, zone_stats, whois, survey, budget, sched)
+}
+
+/// The fault-injected crawl survey: every registered domain of `source`
+/// (IDNs, then non-IDNs) crawled under `setup`'s fault plan on
+/// `setup.threads` workers, read through the source at most `shard_size`
+/// records at a time, so a streamed source keeps its residency bound.
+///
+/// The population is split into fixed-size slices
+/// ([`idnre_crawler::SURVEY_SLICE_RECORDS`] domains each, one window may
+/// straddle the IDN/non-IDN boundary), each under its own slice span, so
+/// the survey's subtree has the same shape at any worker count. Without
+/// `setup.sched` every domain runs the synchronous retry schedule on its
+/// own virtual clock (`crawl.survey.faulted`). With it, each slice runs
+/// one deterministic scheduler instance (`crawl.survey.sched`): shared
+/// virtual timeline, bounded in-flight window, per-nameserver rate limits
+/// and circuit breakers, and priority-classed load shedding.
+///
+/// Executed domains whose terminal verdict was fault-made count as errors
+/// on `budget`, other executed domains as ok, and shed domains as shed
+/// (lost coverage that never counts as error). Every fault decision is a
+/// stateless hash and each scheduler is single-threaded, so the stats,
+/// counters and budget replay byte-identically across thread counts.
+pub fn crawl_survey_at(
+    source: &dyn RecordSource,
+    shard_size: usize,
+    setup: &FaultSetup,
+    budget: &ErrorBudget,
+    recorder: &dyn Recorder,
+    parent: SpanCtx,
+) -> (SurveyStats, Option<SchedStats>) {
+    let span_name = match setup.sched {
+        Some(_) => "crawl.survey.sched",
+        None => "crawl.survey.faulted",
+    };
+    let mut span = recorder.span_at(span_name, parent, 0);
+    let shard_size = shard_size.max(1);
+    let threads = setup.threads;
+    let crawler = host_table(source, shard_size, threads);
+    // Pre-register every counter and histogram so snapshot ordering
+    // cannot depend on which worker thread touches a name first.
+    let mut groups = vec![
         &OUTCOME_COUNTERS[..],
         &RETRY_COUNTERS[..],
         &FAULT_COUNTERS[..],
         &USAGE_COUNTERS[..],
-        &SCHED_COUNTERS[..],
-    ]);
-    recorder.preregister_stages(&[
-        ATTEMPTS_HISTOGRAM,
-        SCHED_LATENCY_HISTOGRAM,
-        idnre_crawler::SCHED_SLICE_SPAN,
-    ]);
+    ];
+    let stages: &[&str] = match setup.sched {
+        Some(_) => {
+            groups.push(&SCHED_COUNTERS[..]);
+            &[
+                ATTEMPTS_HISTOGRAM,
+                SCHED_LATENCY_HISTOGRAM,
+                SCHED_SLICE_SPAN,
+            ]
+        }
+        None => &[ATTEMPTS_HISTOGRAM, SURVEY_SLICE_SPAN],
+    };
+    recorder.preregister_groups(&groups);
+    recorder.preregister_stages(stages);
 
+    let total = source.population_len(Population::Idn) + source.population_len(Population::NonIdn);
+    let slice_starts: Vec<u64> = (0..total).step_by(SURVEY_SLICE_RECORDS).collect();
     let crawler = &crawler;
     let survey_ctx = span.ctx();
-    let per_chunk = idnre_par::par_chunks(
-        &population,
-        threads,
-        idnre_crawler::SURVEY_SLICE_RECORDS,
-        |slice_index, chunk| {
-            let mut slice_span =
-                idnre_crawler::sched_slice_span(recorder, survey_ctx, slice_index as u64);
-            slice_span.add_records(chunk.len() as u64);
-            let domains: Vec<&str> = chunk.iter().map(|reg| reg.domain.as_str()).collect();
-            let out = crawler.crawl_slice_scheduled(&domains, plan, config, recorder);
-            let mut local = SurveyStats::default();
-            for crawl in &out.crawls {
-                local.domains += 1;
-                local.attempts += u64::from(crawl.attempts);
-                local.retries += u64::from(crawl.retries);
-                local.exhausted += u64::from(crawl.exhausted);
-                local.deadline_hit += u64::from(crawl.deadline_hit);
-                local.faults_injected += u64::from(crawl.faults_injected);
-                local.terminal_faulted += u64::from(crawl.terminal_faulted);
-                local.backoff_nanos += crawl.backoff_nanos;
-                local.elapsed_nanos += crawl.latency_nanos;
-                if let Some(outcome) = crawl.dns_outcome {
-                    local.outcomes[outcome_index(outcome)] += 1;
-                }
-                if let Some(category) = crawl.category {
-                    local.usage[usage_index(category)] += 1;
-                }
-                if crawl.shed.is_some() {
-                    budget.record_shed(1);
-                } else if crawl.terminal_faulted {
-                    budget.record_error(1);
-                } else {
-                    budget.record_ok(1);
-                }
+    let per_slice = idnre_par::par_chunks(&slice_starts, threads, 1, |slice_index, starts| {
+        let (start, index) = (starts[0], slice_index as u64);
+        let end = (start + SURVEY_SLICE_RECORDS as u64).min(total);
+        let mut local = SurveyStats::default();
+        match &setup.sched {
+            None => {
+                let mut slice_span = survey_slice_span(recorder, survey_ctx, index);
+                slice_span.add_records(end - start);
+                let ctx = FaultContext {
+                    plan: setup.plan,
+                    policy: setup.policy,
+                };
+                with_records(source, start..end, shard_size, &mut |records| {
+                    for reg in records {
+                        let mut clock = SimClock::new();
+                        let crawl = crawler.crawl_faulted(&reg.domain, &ctx, &mut clock, recorder);
+                        local.domains += 1;
+                        local.attempts += u64::from(crawl.resolution.attempts);
+                        local.retries += u64::from(crawl.resolution.retries)
+                            + u64::from(crawl.http_attempts.saturating_sub(1));
+                        local.exhausted += u64::from(crawl.resolution.exhausted);
+                        local.deadline_hit += u64::from(crawl.resolution.deadline_hit);
+                        local.faults_injected += u64::from(crawl.faults_injected);
+                        local.terminal_faulted += u64::from(crawl.terminal_faulted);
+                        local.backoff_nanos += crawl.resolution.backoff_nanos;
+                        local.elapsed_nanos += crawl.elapsed_nanos;
+                        local.outcomes[outcome_index(crawl.resolution.outcome)] += 1;
+                        local.usage[usage_index(crawl.category)] += 1;
+                        if crawl.terminal_faulted {
+                            budget.record_error(1);
+                        } else {
+                            budget.record_ok(1);
+                        }
+                    }
+                });
+                (local, None)
             }
-            (local, out.stats)
-        },
-    );
+            Some(config) => {
+                let mut slice_span = sched_slice_span(recorder, survey_ctx, index);
+                slice_span.add_records(end - start);
+                // The scheduler needs the whole slice's names at once, and
+                // a streamed read holds one shard at a time.
+                let mut domains = Vec::with_capacity((end - start) as usize);
+                with_records(source, start..end, shard_size, &mut |records| {
+                    domains.extend(records.iter().map(|reg| reg.domain.clone()));
+                });
+                let out = crawler.crawl_slice_scheduled(&domains, &setup.plan, config, recorder);
+                for crawl in &out.crawls {
+                    local.domains += 1;
+                    local.attempts += u64::from(crawl.attempts);
+                    local.retries += u64::from(crawl.retries);
+                    local.exhausted += u64::from(crawl.exhausted);
+                    local.deadline_hit += u64::from(crawl.deadline_hit);
+                    local.faults_injected += u64::from(crawl.faults_injected);
+                    local.terminal_faulted += u64::from(crawl.terminal_faulted);
+                    local.backoff_nanos += crawl.backoff_nanos;
+                    local.elapsed_nanos += crawl.latency_nanos;
+                    if let Some(outcome) = crawl.dns_outcome {
+                        local.outcomes[outcome_index(outcome)] += 1;
+                    }
+                    if let Some(category) = crawl.category {
+                        local.usage[usage_index(category)] += 1;
+                    }
+                    if crawl.shed.is_some() {
+                        budget.record_shed(1);
+                    } else if crawl.terminal_faulted {
+                        budget.record_error(1);
+                    } else {
+                        budget.record_ok(1);
+                    }
+                }
+                (local, Some(out.stats))
+            }
+        }
+    });
     let mut stats = SurveyStats::default();
-    let mut sched = SchedStats::default();
-    for (local, slice_sched) in &per_chunk {
+    let mut sched = setup.sched.map(|_| SchedStats::default());
+    for (local, slice_sched) in &per_slice {
         stats.merge(local);
-        sched.merge(slice_sched);
+        if let (Some(sched), Some(slice_sched)) = (&mut sched, slice_sched) {
+            sched.merge(slice_sched);
+        }
     }
     span.add_records(stats.domains);
     (stats, sched)
+}
+
+/// The survey's crawler: every record's [`host_model`], set in population
+/// order (IDNs, then non-IDNs). A domain registered twice keeps its last
+/// copy's behaviour and its last served page, as a per-domain table must.
+/// No zone is loaded: [`Crawler::set_host`] delegates each crawled name by
+/// its own registration. Shards are modelled on the worker pool in
+/// windows of `4 × threads` and applied in shard order.
+fn host_table(source: &dyn RecordSource, shard_size: usize, threads: usize) -> Crawler {
+    let mut shards = Vec::new();
+    for population in [Population::Idn, Population::NonIdn] {
+        let len = source.population_len(population);
+        for start in (0..len).step_by(shard_size) {
+            shards.push((population, start, (len - start).min(shard_size as u64)));
+        }
+    }
+    let mut crawler = Crawler::new();
+    for window in shards.chunks(4 * threads.max(1)) {
+        let modelled = idnre_par::par_map(window, threads, |&(population, start, len)| {
+            let mut hosts = Vec::with_capacity(len as usize);
+            source.with_shard(population, start, len as usize, &mut |records| {
+                hosts.extend(
+                    records
+                        .iter()
+                        .map(|reg| (reg.domain.clone(), host_model(reg))),
+                );
+            });
+            hosts
+        });
+        for (domain, (behavior, page)) in modelled.into_iter().flatten() {
+            crawler.set_host(&domain, behavior, page);
+        }
+    }
+    crawler
+}
+
+/// Calls `f` with the records at `positions` of the concatenated IDN +
+/// non-IDN population, read through `source` at most `shard_size`
+/// records at a time.
+fn with_records(
+    source: &dyn RecordSource,
+    positions: std::ops::Range<u64>,
+    shard_size: usize,
+    f: &mut dyn FnMut(&[DomainRegistration]),
+) {
+    let idn = source.population_len(Population::Idn);
+    let mut at = positions.start;
+    while at < positions.end {
+        let (population, offset, stop) = if at < idn {
+            (Population::Idn, at, positions.end.min(idn))
+        } else {
+            (Population::NonIdn, at - idn, positions.end)
+        };
+        let len = (stop - at).min(shard_size as u64);
+        source.with_shard(population, offset, len as usize, f);
+        at += len;
+    }
 }

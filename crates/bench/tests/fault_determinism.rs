@@ -3,12 +3,12 @@
 //! corrupted corpus still completes in lenient mode with the damage
 //! accounted instead of aborting.
 
+use idnre_analyze::SliceSource;
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
-use idnre_bench::ReproContext;
-use idnre_crawler::FaultContext;
+use idnre_bench::{ReproContext, DEFAULT_SHARD_SIZE};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_fault::{ErrorBudget, FaultPlan, FaultProfile, RetryPolicy};
-use idnre_telemetry::Registry;
+use idnre_telemetry::{Registry, SpanCtx};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -35,9 +35,10 @@ fn profile(index: u8) -> FaultProfile {
     }
 }
 
-/// Runs the whole faulted pipeline (lenient zone ingest → WHOIS survey →
-/// retried crawl survey) and returns everything observable: the health
-/// verdict and the deterministic slice of the telemetry snapshot.
+/// Runs the whole faulted pipeline (WHOIS survey, then the build's fault
+/// stages: lenient zone ingest → retried crawl survey) and returns
+/// everything observable: the health verdict and the deterministic slice
+/// of the telemetry snapshot.
 fn faulted_run(seed: u64, profile_index: u8, threads: usize) -> (RunHealth, String) {
     let eco = eco();
     let setup = FaultSetup {
@@ -48,15 +49,17 @@ fn faulted_run(seed: u64, profile_index: u8, threads: usize) -> (RunHealth, Stri
     };
     let registry = Registry::new();
     let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) =
-        robust::ingest_zones_faulted(&eco.zones, &setup.plan, &budget, threads, &registry);
     let whois_stats = robust::whois_survey(eco, Some(&setup.plan), Some(&budget), &registry);
-    let ctx = FaultContext {
-        plan: setup.plan,
-        policy: setup.policy,
-    };
-    let survey = robust::crawl_survey_faulted(eco, &zones, &ctx, setup.threads, &budget, &registry);
-    let health = RunHealth::new(&setup, zone_stats, whois_stats, survey, &budget);
+    let health = robust::faulted_stages(
+        &eco.zones,
+        &SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations),
+        DEFAULT_SHARD_SIZE,
+        &setup,
+        whois_stats,
+        &budget,
+        &registry,
+        SpanCtx::NONE,
+    );
     let metrics = registry.snapshot().render_deterministic_json();
     (health, metrics)
 }

@@ -4,12 +4,13 @@
 //! wheel tick, and a storm run degrades (sheds, trips breakers, exits 3)
 //! instead of exceeding its budget.
 
+use idnre_analyze::SliceSource;
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
-use idnre_bench::ReproContext;
+use idnre_bench::{ReproContext, DEFAULT_SHARD_SIZE};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_fault::{ErrorBudget, FaultPlan, FaultProfile, RetryPolicy, RunStatus};
 use idnre_sched::SchedConfig;
-use idnre_telemetry::Registry;
+use idnre_telemetry::{Registry, SpanCtx};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -49,9 +50,10 @@ fn profile(index: u8) -> FaultProfile {
     }
 }
 
-/// Runs the scheduled pipeline (lenient zone ingest → WHOIS survey →
-/// event-driven crawl survey) and returns everything observable: the
-/// health verdict and the deterministic slice of the telemetry snapshot.
+/// Runs the scheduled pipeline (WHOIS survey, then the build's fault
+/// stages: lenient zone ingest → event-driven crawl survey) and returns
+/// everything observable: the health verdict and the deterministic slice
+/// of the telemetry snapshot.
 fn scheduled_run(seed: u64, profile_index: u8, threads: usize) -> (RunHealth, String) {
     scheduled_run_on(eco(), seed, profile_index, threads)
 }
@@ -62,34 +64,30 @@ fn scheduled_run_on(
     profile_index: u8,
     threads: usize,
 ) -> (RunHealth, String) {
-    let config = SchedConfig::default();
     let setup = FaultSetup {
         plan: FaultPlan::new(seed, profile(profile_index)),
         policy: RetryPolicy::default(),
         threads,
-        sched: Some(config),
+        sched: Some(SchedConfig::default()),
     };
+    faulted_run_on(eco, &setup)
+}
+
+/// The build's fault stages over `eco` under `setup`, after the WHOIS
+/// survey: the health verdict and the deterministic metrics slice.
+fn faulted_run_on(eco: &Ecosystem, setup: &FaultSetup) -> (RunHealth, String) {
     let registry = Registry::new();
     let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) =
-        robust::ingest_zones_faulted(&eco.zones, &setup.plan, &budget, threads, &registry);
     let whois_stats = robust::whois_survey(eco, Some(&setup.plan), Some(&budget), &registry);
-    let (survey, sched) = robust::crawl_survey_scheduled(
-        eco,
-        &zones,
-        &setup.plan,
-        &config,
-        threads,
+    let health = robust::faulted_stages(
+        &eco.zones,
+        &SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations),
+        DEFAULT_SHARD_SIZE,
+        setup,
+        whois_stats,
         &budget,
         &registry,
-    );
-    let health = RunHealth::with_sched(
-        &setup,
-        zone_stats,
-        whois_stats,
-        survey,
-        &budget,
-        Some(sched),
+        SpanCtx::NONE,
     );
     let metrics = registry.snapshot().render_deterministic_json();
     (health, metrics)
@@ -232,17 +230,5 @@ fn sync_run(eco: &Ecosystem, seed: u64, threads: usize) -> (RunHealth, String) {
         threads,
         sched: None,
     };
-    let registry = Registry::new();
-    let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) =
-        robust::ingest_zones_faulted(&eco.zones, &setup.plan, &budget, threads, &registry);
-    let whois_stats = robust::whois_survey(eco, Some(&setup.plan), Some(&budget), &registry);
-    let ctx = idnre_crawler::FaultContext {
-        plan: setup.plan,
-        policy: setup.policy,
-    };
-    let survey = robust::crawl_survey_faulted(eco, &zones, &ctx, setup.threads, &budget, &registry);
-    let health = RunHealth::new(&setup, zone_stats, whois_stats, survey, &budget);
-    let metrics = registry.snapshot().render_deterministic_json();
-    (health, metrics)
+    faulted_run_on(eco, &setup)
 }

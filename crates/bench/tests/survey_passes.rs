@@ -2,15 +2,16 @@
 //! crawl pass derives every host from its own record, so its counters
 //! must equal a `Crawler` loaded with the whole corpus wherever domains
 //! are unique, and a one-host `Crawler` per record everywhere — duplicate
-//! bulk domains included. The WHOIS pass must not depend on the worker
-//! count, budget tallies included.
+//! bulk domains included. The faulted crawl survey keeps the table: a
+//! duplicate domain takes its last copy's model. The WHOIS pass must not
+//! depend on the worker count, budget tallies included.
 
 use idnre_analyze::{ShardedScan, SliceSource};
 use idnre_bench::passes::{self, CrawlPass, CRAWL_SURVEY_COUNTERS};
-use idnre_bench::{robust, ReproContext};
+use idnre_bench::{robust, FaultSetup, ReproContext};
 use idnre_crawler::Crawler;
 use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
-use idnre_fault::{ErrorBudget, FaultPlan};
+use idnre_fault::{ErrorBudget, FaultPlan, FaultProfile, RetryPolicy};
 use idnre_telemetry::{Registry, SpanCtx};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -104,6 +105,62 @@ fn crawl_pass_matches_a_one_host_crawler_per_record() {
     assert_eq!(counters(&registry), counters(&reference));
     let expected: Vec<u64> = counters(&reference).iter().map(|&(_, n)| n).collect();
     assert_eq!(totals.to_vec(), expected);
+}
+
+/// The faulted crawl survey crawls every record against one host table
+/// filled in population order, so a duplicate domain takes its last
+/// copy's behaviour and last served page. Without faults and with a
+/// single attempt, its tallies must equal the table-driven `Crawler`
+/// over the same population, duplicates included.
+#[test]
+fn faulted_survey_matches_the_table_driven_crawler_on_duplicate_domains() {
+    let eco = Ecosystem::generate(&EcosystemConfig {
+        scale: 50,
+        threads: 2,
+        ..EcosystemConfig::default()
+    });
+    let mut seen = HashSet::new();
+    let duplicates = corpus(&eco)
+        .filter(|reg| !seen.insert(reg.domain.as_str()))
+        .count();
+    assert!(
+        duplicates > 0,
+        "the scale-50 corpus lost its duplicate domains"
+    );
+
+    let mut crawler = Crawler::new();
+    for reg in corpus(&eco) {
+        let (behavior, page) = passes::host_model(reg);
+        crawler.set_host(&reg.domain, behavior, page);
+    }
+    let reference = Registry::new();
+    for reg in corpus(&eco) {
+        crawler.crawl_recorded(&reg.domain, &reference);
+    }
+    let expected: Vec<u64> = counters(&reference).iter().map(|&(_, n)| n).collect();
+
+    let setup = FaultSetup {
+        plan: FaultPlan::new(1, FaultProfile::none()),
+        policy: RetryPolicy::single_attempt(),
+        threads: 2,
+        sched: None,
+    };
+    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+    let (survey, _) = robust::crawl_survey_at(
+        &source,
+        1024,
+        &setup,
+        &ErrorBudget::new(0),
+        &Registry::new(),
+        SpanCtx::NONE,
+    );
+    let tallies: Vec<u64> = survey
+        .outcomes
+        .iter()
+        .chain(&survey.usage)
+        .copied()
+        .collect();
+    assert_eq!(tallies, expected);
 }
 
 /// `whois_survey` is a sharded scan on the context's worker count; its
